@@ -1,6 +1,7 @@
 #include "crypto/bignum.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "util/ensure.hpp"
 #include "util/hex.hpp"
@@ -9,7 +10,61 @@ namespace rvaas::crypto {
 
 namespace {
 constexpr std::uint64_t kBase = 1ULL << 32;
+
+constexpr std::size_t kWindowBits = 4;
+using PowerTable = std::array<BigUInt, std::size_t{1} << kWindowBits>;
+
+/// table[d] = base^d mod m for every window digit d (14 modmuls).
+PowerTable power_table(const BigUInt& base, const BigUInt& m) {
+  PowerTable table;
+  table[0] = BigUInt(1);
+  table[1] = base.mod(m);
+  for (std::size_t d = 2; d < table.size(); ++d) {
+    table[d] = BigUInt::modmul(table[d - 1], table[1], m);
+  }
+  return table;
 }
+
+/// Window digit i of e: bits [4i, 4i + 4).
+std::size_t window_digit(const BigUInt& e, std::size_t i) {
+  std::size_t d = 0;
+  for (std::size_t b = kWindowBits; b-- > 0;) {
+    d = (d << 1) | (e.bit(i * kWindowBits + b) ? 1 : 0);
+  }
+  return d;
+}
+
+struct PowerTerm {
+  const BigUInt& base;
+  const BigUInt& exp;
+};
+
+/// prod base_k ^ exp_k mod m (Straus): left to right over 4-bit windows,
+/// every term sharing the one squaring chain. The first window's squarings
+/// act on 1 and cost next to nothing.
+template <std::size_t N>
+BigUInt power_product(const std::array<PowerTerm, N>& terms, const BigUInt& m) {
+  std::size_t bits = 0;
+  std::array<PowerTable, N> tables;
+  for (std::size_t k = 0; k < N; ++k) {
+    bits = std::max(bits, terms[k].exp.bit_length());
+    tables[k] = power_table(terms[k].base, m);
+  }
+  BigUInt result(1);
+  for (std::size_t i = (bits + kWindowBits - 1) / kWindowBits; i-- > 0;) {
+    for (std::size_t s = 0; s < kWindowBits; ++s) {
+      result = BigUInt::modmul(result, result, m);
+    }
+    for (std::size_t k = 0; k < N; ++k) {
+      if (const std::size_t d = window_digit(terms[k].exp, i)) {
+        result = BigUInt::modmul(result, tables[k][d], m);
+      }
+    }
+  }
+  return result;
+}
+
+}  // namespace
 
 BigUInt::BigUInt(std::uint64_t v) {
   if (v != 0) limbs_.push_back(static_cast<std::uint32_t>(v));
@@ -295,14 +350,38 @@ BigUInt BigUInt::modadd(const BigUInt& a, const BigUInt& b, const BigUInt& m) {
 BigUInt BigUInt::modpow(const BigUInt& base, const BigUInt& exp,
                         const BigUInt& m) {
   util::ensure(m > BigUInt(1), "modpow modulus must be > 1");
-  BigUInt result(1);
-  BigUInt acc = base.mod(m);
-  const std::size_t bits = exp.bit_length();
-  for (std::size_t i = 0; i < bits; ++i) {
-    if (exp.bit(i)) result = modmul(result, acc, m);
-    if (i + 1 < bits) acc = modmul(acc, acc, m);
+  return power_product(std::array<PowerTerm, 1>{{{base, exp}}}, m);
+}
+
+BigUInt BigUInt::modpow2(const BigUInt& a, const BigUInt& x, const BigUInt& b,
+                         const BigUInt& y, const BigUInt& m) {
+  util::ensure(m > BigUInt(1), "modpow2 modulus must be > 1");
+  return power_product(std::array<PowerTerm, 2>{{{a, x}, {b, y}}}, m);
+}
+
+int BigUInt::jacobi(const BigUInt& a, const BigUInt& n) {
+  util::ensure(n.is_odd(), "jacobi requires an odd modulus");
+  // Invariant: the answer is sign * (x | y) with y odd. Each round strips
+  // the factors of two from x ((2 | y) = -1 iff y = 3, 5 mod 8), orders the
+  // pair so x >= y (quadratic reciprocity flips the sign iff both are
+  // 3 mod 4), then replaces x by x - y, which leaves (x | y) unchanged.
+  BigUInt x = a.mod(n);
+  BigUInt y = n;
+  int sign = 1;
+  while (!x.is_zero()) {
+    std::size_t twos = 0;
+    while (!x.bit(twos)) ++twos;
+    const std::uint32_t y_mod8 = y.limbs_[0] & 7;
+    if (twos % 2 == 1 && (y_mod8 == 3 || y_mod8 == 5)) sign = -sign;
+    x = x.shift_right(twos);
+    if (x < y) {
+      std::swap(x, y);
+      if ((x.limbs_[0] & 3) == 3 && (y.limbs_[0] & 3) == 3) sign = -sign;
+    }
+    x = x.sub(y);
   }
-  return result;
+  // x reached zero at x == y == gcd(a, n): the symbol is 0 unless coprime.
+  return y == BigUInt(1) ? sign : 0;
 }
 
 bool BigUInt::is_probable_prime(const BigUInt& n, util::Rng& rng, int rounds) {

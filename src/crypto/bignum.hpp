@@ -2,8 +2,9 @@
 // Minimal arbitrary-precision unsigned integer arithmetic, sufficient for
 // Schnorr signatures and Diffie-Hellman key encapsulation over a 256-bit
 // safe-prime group. Little-endian 32-bit limbs; schoolbook multiplication;
-// Knuth Algorithm D division. Not constant-time (simulation-grade crypto;
-// see DESIGN.md §2).
+// Knuth Algorithm D division; fixed 4-bit-window exponentiation. Not
+// constant-time (simulation-grade crypto; see docs/ARCHITECTURE.md,
+// "Public-key arithmetic").
 
 #include <cstdint>
 #include <span>
@@ -61,9 +62,18 @@ class BigUInt {
   static BigUInt modmul(const BigUInt& a, const BigUInt& b, const BigUInt& m);
   /// (a + b) mod m, assuming a, b < m.
   static BigUInt modadd(const BigUInt& a, const BigUInt& b, const BigUInt& m);
-  /// (base ^ exp) mod m; m must be > 1.
+  /// (base ^ exp) mod m; m must be > 1. Left-to-right with a fixed 4-bit
+  /// window: a 16-entry table of base powers, then four squarings and at
+  /// most one table multiply per 4 exponent bits.
   static BigUInt modpow(const BigUInt& base, const BigUInt& exp,
                         const BigUInt& m);
+  /// (a ^ x * b ^ y) mod m; m must be > 1. Straus/Shamir joint
+  /// exponentiation: both bases share one squaring chain.
+  static BigUInt modpow2(const BigUInt& a, const BigUInt& x, const BigUInt& b,
+                         const BigUInt& y, const BigUInt& m);
+  /// Jacobi symbol (a | n) in {-1, 0, 1}; n must be odd. Binary algorithm:
+  /// shifts, subtractions and reciprocity, no multiplication.
+  static int jacobi(const BigUInt& a, const BigUInt& n);
 
   /// Miller-Rabin with `rounds` random bases (deterministic given rng seed).
   static bool is_probable_prime(const BigUInt& n, util::Rng& rng,

@@ -3,8 +3,11 @@
 namespace rvaas::crypto {
 
 bool Group::is_element(const BigUInt& e) const {
+  // For a safe prime p = 2q + 1 the order-q subgroup is exactly the
+  // quadratic residues mod p, so Euler's criterion e^q == 1 is the Jacobi
+  // symbol (e | p) == 1: no exponentiation needed.
   if (e.is_zero() || e >= p) return false;
-  return BigUInt::modpow(e, q, p) == BigUInt(1);
+  return BigUInt::jacobi(e, p) == 1;
 }
 
 const Group& default_group() {

@@ -19,7 +19,8 @@ struct Group {
   /// g^x mod p
   BigUInt exp(const BigUInt& x) const { return BigUInt::modpow(g, x, p); }
 
-  /// true iff e is a valid element of the order-q subgroup (e^q == 1, e != 0).
+  /// true iff e is a valid element of the order-q subgroup (0 < e < p and
+  /// e^q == 1, decided as the Legendre symbol (e | p) == 1).
   bool is_element(const BigUInt& e) const;
 };
 

@@ -47,10 +47,10 @@ bool VerifyKey::verify(std::span<const std::uint8_t> message,
                        const Signature& sig) const {
   const Group& grp = default_group();
   if (y_.is_zero() || sig.e >= grp.q || sig.s >= grp.q) return false;
-  // r' = g^s * y^(-e) = g^s * y^(q - e)   (y has order q)
-  const BigUInt gs = BigUInt::modpow(grp.g, sig.s, grp.p);
-  const BigUInt ye = BigUInt::modpow(y_, grp.q.sub(sig.e), grp.p);
-  const BigUInt r = BigUInt::modmul(gs, ye, grp.p);
+  // r' = g^s * y^(-e) = g^s * y^(q - e)   (y has order q), as one joint
+  // exponentiation.
+  const BigUInt r =
+      BigUInt::modpow2(grp.g, sig.s, y_, grp.q.sub(sig.e), grp.p);
   const BigUInt e2 =
       hash_to_scalar("rvaas-schnorr-v1", r.to_bytes(grp.element_bytes()),
                      message);

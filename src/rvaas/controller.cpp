@@ -435,6 +435,9 @@ void RvaasController::admit_request(const QueryRequest& request,
   ctx.addressing = addressing_;
   QueryEngine::Evaluation evaluation = engine_.evaluate(
       model, snapshot_, Property::from_query(request.query), ctx);
+  if (evaluation.primary_reach) {
+    stats_.reach_steps += evaluation.primary_reach->steps;
+  }
   pending.reply = std::move(evaluation.reply);
   pending.reply.request_id = request.request_id;
   pending.footprint = std::move(evaluation.footprint);
@@ -778,6 +781,9 @@ void RvaasController::run_monitor_sweep(bool force_all) {
       monitor_.sweep(snapshot_, ctx, monitor_pool_, force_all);
 
   for (PropertyMonitor::Wakeup& w : wakeups) {
+    if (w.evaluation.primary_reach) {
+      stats_.reach_steps += w.evaluation.primary_reach->steps;
+    }
     // A newer evaluation supersedes one still waiting on authentication.
     if (const auto it = inflight_.find(w.key); it != inflight_.end()) {
       if (const auto pit = pending_.find(it->second); pit != pending_.end()) {

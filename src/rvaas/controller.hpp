@@ -224,7 +224,9 @@ class RvaasController : public sdn::Controller {
     std::uint64_t polls_sent = 0;
     std::uint64_t probes_sent = 0;
     std::uint64_t crypto_ops = 0;  ///< asymmetric operations (E9)
-    std::uint64_t reach_steps = 0; ///< HSA rule applications (E4/E7)
+    /// HSA rule applications (ReachabilityResult::steps) of the primary
+    /// reach behind each one-shot query and subscription wakeup (E4/E7).
+    std::uint64_t reach_steps = 0;
 
     // Push verification:
     std::uint64_t subscribes_received = 0;

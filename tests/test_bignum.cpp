@@ -214,5 +214,149 @@ TEST(BigUInt, DefaultGroupPrimesArePrime) {
   EXPECT_EQ(q.mul(BigUInt(2)).add(BigUInt(1)), p);  // safe prime structure
 }
 
+// --- Differential tests: windowed / joint exponentiation and Jacobi ---
+
+const BigUInt kGroupP = BigUInt::from_hex(
+    "dfd59ed7c49edcdf77a671bc331bf7855f8d5185343ec3b97bc31878ef175983");
+const BigUInt kGroupQ = BigUInt::from_hex(
+    "6feacf6be24f6e6fbbd338de198dfbc2afc6a8c29a1f61dcbde18c3c778bacc1");
+
+/// Reference: right-to-left binary square-and-multiply, one bit at a time.
+BigUInt naive_modpow(const BigUInt& base, const BigUInt& exp,
+                     const BigUInt& m) {
+  BigUInt result(1);
+  BigUInt acc = base.mod(m);
+  for (std::size_t i = 0; i < exp.bit_length(); ++i) {
+    if (exp.bit(i)) result = BigUInt::modmul(result, acc, m);
+    acc = BigUInt::modmul(acc, acc, m);
+  }
+  return result;
+}
+
+/// Exponents that stress window boundaries: 0, 1, 15, 16, 2^k - 1 around
+/// limb and window edges, q and p - 1, plus seeded 256-bit values.
+std::vector<BigUInt> edge_exponents(Rng& rng) {
+  const BigUInt one(1);
+  std::vector<BigUInt> exps = {BigUInt{}, one, BigUInt(15), BigUInt(16),
+                               kGroupQ, kGroupP.sub(one)};
+  for (const std::size_t k : {3u, 4u, 5u, 8u, 31u, 32u, 33u, 64u, 255u, 256u}) {
+    exps.push_back(one.shift_left(k).sub(one));
+  }
+  for (int i = 0; i < 6; ++i) {
+    exps.push_back(BigUInt::random_below(rng, one.shift_left(256)));
+  }
+  return exps;
+}
+
+TEST(BigUIntDifferential, WindowedModPowMatchesNaive) {
+  Rng rng(20);
+  const BigUInt one(1);
+  const BigUInt top = one.shift_left(255);
+  // The group prime, and a seeded 256-bit modulus made odd and even.
+  BigUInt odd = BigUInt::random_below(rng, top).add(top);
+  if (!odd.is_odd()) odd = odd.add(one);
+  const std::vector<BigUInt> moduli = {kGroupP, odd, odd.sub(one)};
+  const std::vector<BigUInt> exps = edge_exponents(rng);
+  for (const BigUInt& m : moduli) {
+    // Seeded 256-bit bases (some above m, exercising the reduction) plus
+    // the degenerate 0, 1 and m - 1.
+    std::vector<BigUInt> bases = {BigUInt{}, one, m.sub(one), BigUInt(4)};
+    for (int i = 0; i < 3; ++i) {
+      bases.push_back(BigUInt::random_below(rng, one.shift_left(256)));
+    }
+    for (const BigUInt& b : bases) {
+      for (const BigUInt& e : exps) {
+        EXPECT_EQ(BigUInt::modpow(b, e, m), naive_modpow(b, e, m))
+            << "b=" << b.to_hex() << " e=" << e.to_hex()
+            << " m=" << m.to_hex();
+      }
+    }
+  }
+}
+
+TEST(BigUIntDifferential, JointModPowMatchesProductOfPowers) {
+  Rng rng(21);
+  const BigUInt g(4);
+  const BigUInt one(1);
+  std::vector<BigUInt> exps = edge_exponents(rng);
+  for (int i = 0; i < 6; ++i) {
+    exps.push_back(BigUInt::random_below(rng, kGroupQ));
+  }
+  for (int i = 0; i < 4; ++i) {
+    const BigUInt y = BigUInt::random_below(rng, one.shift_left(256));
+    for (std::size_t j = 0; j < exps.size(); ++j) {
+      // Pair every exponent with a rotated partner so the two sides differ
+      // in length, including one side zero.
+      const BigUInt& s = exps[j];
+      const BigUInt& t = exps[(j + 1 + static_cast<std::size_t>(i)) %
+                              exps.size()];
+      EXPECT_EQ(BigUInt::modpow2(g, s, y, t, kGroupP),
+                BigUInt::modmul(BigUInt::modpow(g, s, kGroupP),
+                                BigUInt::modpow(y, t, kGroupP), kGroupP))
+          << "s=" << s.to_hex() << " y=" << y.to_hex()
+          << " t=" << t.to_hex();
+    }
+  }
+  EXPECT_EQ(BigUInt::modpow2(g, BigUInt{}, g, BigUInt{}, kGroupP), one);
+}
+
+/// Euler's criterion a^((p-1)/2) mod p, mapped to {-1, 0, 1}.
+int euler_u64(std::uint64_t a, std::uint64_t p) {
+  std::uint64_t result = 1;
+  std::uint64_t b = a % p;
+  for (std::uint64_t e = (p - 1) / 2; e; e >>= 1) {
+    if (e & 1) result = result * b % p;
+    b = b * b % p;
+  }
+  if (a % p == 0) return 0;
+  return result == 1 ? 1 : -1;
+}
+
+TEST(BigUIntDifferential, JacobiMatchesEulerForSmallPrimes) {
+  std::vector<bool> composite(2000, false);
+  for (std::uint64_t p = 3; p < 2000; p += 2) {
+    if (composite[p]) continue;
+    for (std::uint64_t k = p * p; k < 2000; k += p) composite[k] = true;
+    for (std::uint64_t a = 0; a < p; ++a) {
+      ASSERT_EQ(BigUInt::jacobi(BigUInt(a), BigUInt(p)), euler_u64(a, p))
+          << "a=" << a << " p=" << p;
+    }
+  }
+}
+
+TEST(BigUIntDifferential, JacobiMatchesEulerForGroupPrime) {
+  Rng rng(22);
+  const BigUInt one(1);
+  const BigUInt minus_one = kGroupP.sub(one);
+  for (int i = 0; i < 1000; ++i) {
+    const BigUInt a = BigUInt::random_below(rng, kGroupP);
+    const BigUInt euler = BigUInt::modpow(a, kGroupQ, kGroupP);
+    ASSERT_TRUE(a.is_zero() || euler == one || euler == minus_one);
+    const int expected = a.is_zero() ? 0 : (euler == one ? 1 : -1);
+    EXPECT_EQ(BigUInt::jacobi(a, kGroupP), expected) << "a=" << a.to_hex();
+  }
+}
+
+TEST(BigUIntDifferential, JacobiIsMultiplicativeInTheModulus) {
+  // (a | n) is the product of (a | p) over the prime factors of odd n, and
+  // 0 whenever gcd(a, n) > 1.
+  for (std::uint64_t n = 1; n < 400; n += 2) {
+    for (std::uint64_t a = 0; a < 2 * n; ++a) {
+      int expected = 1;
+      std::uint64_t rest = n;
+      for (std::uint64_t p = 3; p <= rest; p += 2) {
+        while (rest % p == 0) {
+          expected *= euler_u64(a, p);
+          rest /= p;
+        }
+      }
+      ASSERT_EQ(BigUInt::jacobi(BigUInt(a), BigUInt(n)), expected)
+          << "a=" << a << " n=" << n;
+    }
+  }
+  EXPECT_THROW(BigUInt::jacobi(BigUInt(3), BigUInt(10)),
+               util::InvariantViolation);
+}
+
 }  // namespace
 }  // namespace rvaas::crypto

@@ -371,5 +371,91 @@ TEST(SealedBox, SealOpenRoundTripsAcrossSizes) {
   }
 }
 
+
+// --- Known-answer vectors: the exact bytes of the public-key arithmetic ---
+//
+// Recorded once and never regenerated: any change to modpow, the verify
+// equation or the subgroup check must leave every byte below unchanged.
+
+Bytes kib_message() {
+  Bytes msg(1024);
+  for (std::size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  return msg;
+}
+
+TEST(KnownAnswer, SchnorrKeyAndSignatureBytes) {
+  util::Rng rng(20160609);
+  const SigningKey sk = SigningKey::generate(rng);
+  EXPECT_EQ(to_hex(sk.verify_key().serialize()),
+            "20000000"
+            "93f71cc77ed4e963fa32ab54c978ab73a0eeb3a0d09dbcc3118654e2bbdfc30b");
+
+  const struct {
+    Bytes message;
+    const char* signature_hex;
+  } cases[] = {
+      {Bytes{},
+       "20000000469e8597d3165292673c5afe99a3e2f96b248672ecfe0e13dae5e6e6bd045600"
+       "20000000466e33aaabb1685b90b62794984eb26b5c7bdda0fbd63c35dfeb3c6a15205ccc"},
+      {util::to_bytes("routing as agreed"),
+       "200000000dbd605770186be484caa2a3a26c02b75cd9453928f3fc6046fa131164bc2d85"
+       "20000000604b21916b89f84c9c166ba97937801d4de06a639ffba9334cc18486399aa095"},
+      {kib_message(),
+       "2000000053c213fa9c0ff7c2d611da662bd500fedbbb88dcfdd9246fedcff2f9475ea16c"
+       "2000000034f5af8134457c15b0abf02cd4641961db6b591bcf07603cda6cc906250954d2"},
+  };
+  for (const auto& c : cases) {
+    const Signature sig = sk.sign(c.message);
+    EXPECT_EQ(to_hex(sig.serialize()), c.signature_hex)
+        << "len=" << c.message.size();
+    EXPECT_TRUE(sk.verify_key().verify(c.message, sig));
+  }
+}
+
+TEST(KnownAnswer, SealedBoxBytes) {
+  util::Rng rng(20160610);
+  const BoxOpener opener = BoxOpener::generate(rng);
+  EXPECT_EQ(opener.public_element().to_hex(),
+            "3907dbeebe7e9e89e59b22823b9844db4ead61ada9fa3b31204281276ff2a743");
+  const SealedBox box =
+      opener.sealer().seal(rng, util::to_bytes("which endpoints can reach me?"));
+  EXPECT_EQ(to_hex(box.serialize()),
+            "2000000016ee0c63fc7265edcddbbcef5ba10930bd0c0908af87c6a6a45037ee0ede3c94"
+            "100000008fbf3c005ad1298a10ca0368cf3713d8"
+            "1d00000047cfe96fa91d53746f8c0622e843b40a6ab28a3f0e54309fc5a2e2137a"
+            "f46747c624f3bdac9643a846342a26ea37d606532f6bc568c05f3a0fc2f586fc");
+  ASSERT_TRUE(opener.open(box).has_value());
+}
+
+TEST(KnownAnswer, SubgroupMembershipTruthTable) {
+  const Group& g = default_group();
+  const BigUInt one(1);
+  EXPECT_FALSE(g.is_element(BigUInt{}));
+  EXPECT_TRUE(g.is_element(one));
+  EXPECT_TRUE(g.is_element(g.g));
+  EXPECT_FALSE(g.is_element(g.p.sub(one)));  // -1 has order 2
+  EXPECT_FALSE(g.is_element(g.p));
+  EXPECT_FALSE(g.is_element(g.p.add(one)));
+  EXPECT_FALSE(g.is_element(BigUInt(2)));    // p = 3 mod 8: 2 is a non-residue
+  EXPECT_TRUE(g.is_element(BigUInt(3)));     // 3^q = 1 mod p
+
+  util::Rng rng(20160611);
+  Sha256 elements;  // pins the 32 exponentiations themselves
+  for (int i = 0; i < 32; ++i) {
+    const BigUInt x = BigUInt::random_below(rng, g.q);
+    const BigUInt e = g.exp(x);
+    elements.update(e.to_bytes(g.element_bytes()));
+    EXPECT_TRUE(g.is_element(e)) << "x=" << x.to_hex();
+    // -e = (p-1)*e lies in the other coset, as does 2*e.
+    EXPECT_FALSE(g.is_element(g.p.sub(e))) << "x=" << x.to_hex();
+    EXPECT_FALSE(g.is_element(BigUInt::modmul(e, BigUInt(2), g.p)))
+        << "x=" << x.to_hex();
+  }
+  EXPECT_EQ(hex_of(elements.finalize()), 
+            "2026c3b71b8c37dcc64db4825d2a0696bd0d0bec85a1eb123ade61e79e3bfd12");
+}
+
 }  // namespace
 }  // namespace rvaas::crypto

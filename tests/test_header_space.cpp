@@ -338,7 +338,9 @@ TEST_P(HeaderSpaceProperty, OperationsPreserveMembership) {
   }
   // The model's domain is restricted; hs may contain headers outside it, so
   // only one implication holds strictly:
-  if (hs.is_empty()) EXPECT_TRUE(model_empty);
+  if (hs.is_empty()) {
+    EXPECT_TRUE(model_empty);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HeaderSpaceProperty,

@@ -67,6 +67,25 @@ TEST(E2E, Figure1And2ProtocolRoundTrip) {
   EXPECT_EQ(stats.replies_sent, 1u);
 }
 
+TEST(E2E, ReachQueryCountsHsaSteps) {
+  ScenarioRuntime runtime(line_config(3));
+  const auto& hosts = runtime.hosts();
+  const std::uint64_t before = runtime.rvaas().stats().reach_steps;
+
+  Query query;
+  query.kind = QueryKind::ReachableEndpoints;
+  const auto outcome = runtime.query_and_wait(hosts[0], query);
+  ASSERT_TRUE(outcome.reply.has_value());
+  const std::uint64_t after_one = runtime.rvaas().stats().reach_steps;
+  EXPECT_GT(after_one, before);
+
+  // A repeat is served from the reach cache but is still an evaluation the
+  // controller answered: its steps count again.
+  ASSERT_TRUE(runtime.query_and_wait(hosts[0], query).reply.has_value());
+  EXPECT_EQ(runtime.rvaas().stats().reach_steps - after_one,
+            after_one - before);
+}
+
 TEST(E2E, ExfiltrationDetectedByReachQuery) {
   ScenarioRuntime runtime(line_config(3));
   const auto& hosts = runtime.hosts();
