@@ -1,8 +1,10 @@
 #pragma once
-// WireClient: a blocking TCP client for the RVaaS wire front-end. It mirrors
-// core::ClientAgent exactly — same request-id scheme ((host << 32) | counter,
-// the counter doubling as the subscribe freshness clock), same envelope
-// codecs, same replay/fingerprint guards on pushes — so a wire session is
+// WireClient: a blocking TCP client for the RVaaS wire front-end. It is a
+// transport over core::ClientProtocol (rvaas/client.hpp), the same protocol
+// core as the in-band core::ClientAgent: keys, request ids, envelopes, auth
+// answers, reply verification and push guards all live there. This class
+// owns only the socket, the framing, the blocking waits and the queue of
+// pushes that arrive during a query. A wire session is therefore
 // indistinguishable from an in-process agent to the controller, and replies
 // are byte-identical (pinned by tests/test_net.cpp).
 //
@@ -11,12 +13,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <string>
 
 #include "net/framing.hpp"
-#include "rvaas/inband.hpp"
+#include "rvaas/client.hpp"
 
 namespace rvaas::net {
 
@@ -51,7 +52,7 @@ class WireClient {
   void close();
 
   /// This session's assigned identity (valid after a successful connect()).
-  sdn::HostId host() const { return host_; }
+  sdn::HostId host() const { return protocol_.host(); }
   sdn::PortRef access_point() const { return access_point_; }
 
   struct Outcome {
@@ -65,19 +66,15 @@ class WireClient {
   Outcome query(const core::Query& query, int timeout_ms = 5000);
 
   /// Registers a standing subscription; returns the subscription id.
+  /// Requires a session that has pinned the RVaaS keys (util::ensure).
   std::uint64_t subscribe(const core::Property& property,
                           core::NotifyPolicy policy =
                               core::NotifyPolicy::VerdictEdges);
   void unsubscribe(std::uint64_t subscription_id);
 
-  struct Event {
-    std::uint64_t subscription_id = 0;
-    core::NotificationKind kind = core::NotificationKind::AllClear;
-    std::uint64_t sequence = 0;
-    std::uint64_t epoch = 0;
-    core::QueryReply reply;
-    core::Verdict verdict;  ///< local re-check against the expectation
-  };
+  /// A verified push; `verdict` is the local re-check against the
+  /// subscribed expectation.
+  using Event = core::ClientProtocol::MonitorEvent;
   /// Next verified push (signature + replay + fingerprint checked), waiting
   /// up to `timeout_ms`. Auth requests are answered inline here too.
   std::optional<Event> wait_notification(int timeout_ms = 5000);
@@ -85,50 +82,25 @@ class WireClient {
   /// Sends raw bytes down the socket verbatim (adversarial tests only).
   bool send_raw(std::span<const std::uint8_t> bytes);
 
-  struct Stats {
-    std::uint64_t queries_sent = 0;
-    std::uint64_t replies_received = 0;
-    std::uint64_t bad_replies = 0;
-    std::uint64_t timeouts = 0;
-    std::uint64_t auth_requests_answered = 0;
-    std::uint64_t subscribes_sent = 0;
-    std::uint64_t unsubscribes_sent = 0;
-    std::uint64_t notifications_received = 0;
-    std::uint64_t bad_notifications = 0;
-  };
-  const Stats& stats() const { return stats_; }
+  using Stats = core::ClientProtocol::Stats;
+  const Stats& stats() const { return protocol_.stats(); }
 
  private:
   /// Pumps the socket until a frame is complete or the deadline passes.
   std::optional<util::Bytes> read_frame(int timeout_ms);
   bool send_frame(std::span<const std::uint8_t> payload);
-  /// Handles one inbound inband packet. Fills `out_event` (and returns
-  /// true) for a surfaced notification; answers auth requests inline.
-  bool consume(const sdn::Packet& packet, Event* out_event);
+  /// Hands one inbound frame to the protocol core, sending back any auth
+  /// answer it produces.
+  core::ClientProtocol::Inbound consume(std::span<const std::uint8_t> frame);
 
   WireClientConfig config_;
-  util::Rng rng_;
-  crypto::SigningKey key_;
-  crypto::BoxOpener box_;
+  core::ClientProtocol protocol_;
 
   int fd_ = -1;
   bool hello_done_ = false;
   FrameDecoder decoder_;
-
-  sdn::HostId host_{};
-  control::HostAddress address_;
   sdn::PortRef access_point_{};
-  std::optional<crypto::VerifyKey> rvaas_key_;
-  std::optional<crypto::BigUInt> rvaas_box_pub_;
-
-  struct Subscription {
-    core::Property property;
-    std::uint64_t last_sequence = 0;
-  };
-  std::map<std::uint64_t, Subscription> subscriptions_;
   std::deque<Event> event_queue_;  ///< pushes that arrived during query()
-  std::uint64_t next_request_id_ = 0;
-  Stats stats_;
 };
 
 }  // namespace rvaas::net

@@ -563,7 +563,7 @@ void WireServer::handle_inband(IoThread&, Connection& conn,
       ++stats_.requests_in;
       service_->post([controller = controller_, req = *request,
                       ap = conn.slot.access_point] {
-        controller->wire_request(req, ap);
+        controller->admit_request(req, ap);
       });
       return;
     }
@@ -579,7 +579,7 @@ void WireServer::handle_inband(IoThread&, Connection& conn,
       ++stats_.subscribes_in;
       service_->post([controller = controller_, req = opened->first,
                       ap = conn.slot.access_point] {
-        controller->wire_subscribe(req, ap);
+        controller->admit_subscribe(req, ap, /*signature=*/nullptr);
       });
       return;
     }
@@ -594,7 +594,7 @@ void WireServer::handle_inband(IoThread&, Connection& conn,
       ++stats_.auth_replies_in;
       service_->post([controller = controller_, reply = parsed->first,
                       from = conn.slot.access_point] {
-        controller->wire_auth_reply(reply, from);
+        controller->admit_auth_reply(reply, from, /*signature=*/nullptr);
       });
       return;
     }

@@ -373,49 +373,41 @@ void RvaasController::on_packet_in(const sdn::PacketIn& msg) {
 
   const auto tag = inband::classify(msg.packet);
   if (!tag) return;
+  const PortRef at{msg.sw, msg.in_port};
   switch (*tag) {
     case inband::Tag::Request:
-      handle_request(msg);
+      if (const auto request = inband::open_request(msg.packet, enclave_)) {
+        admit_request(*request, at);
+      } else {
+        ++stats_.queries_received;
+        ++stats_.crypto_ops;  // the unseal that failed
+        ++stats_.bad_requests;
+      }
       return;
     case inband::Tag::Subscribe:
-      handle_subscribe(msg);
+      if (const auto opened = inband::open_subscribe(msg.packet, enclave_)) {
+        admit_subscribe(opened->first, at, &opened->second);
+      } else {
+        ++stats_.crypto_ops;  // the unseal that failed
+        ++stats_.bad_requests;
+      }
       return;
     case inband::Tag::AuthReply:
-      handle_auth_reply(msg);
+      if (const auto parsed = inband::parse_auth_reply(msg.packet)) {
+        admit_auth_reply(parsed->first, at, &parsed->second);
+      }
       return;
     default:
       return;  // auth requests / replies to clients are not ours to consume
   }
 }
 
-void RvaasController::handle_request(const sdn::PacketIn& msg) {
-  ++stats_.queries_received;
-  ++stats_.crypto_ops;  // unseal
-  const auto request = inband::open_request(msg.packet, enclave_);
-  if (!request) {
-    ++stats_.bad_requests;
-    return;
-  }
-  admit_request(*request, PortRef{msg.sw, msg.in_port});
-}
-
-void RvaasController::wire_request(const QueryRequest& request,
-                                   sdn::PortRef request_point) {
-  // The sealed envelope was already opened on a front-end I/O thread; from
-  // here the path is byte-for-byte the in-band one.
-  ++stats_.queries_received;
-  ++stats_.crypto_ops;  // unseal, done on the I/O thread
-  admit_request(request, request_point);
-}
-
 void RvaasController::admit_request(const QueryRequest& request,
                                     sdn::PortRef request_point) {
-  if (pending_.contains(request.request_id)) {
-    ++stats_.bad_requests;
-    return;
-  }
-  const auto client_it = clients_.find(request.client);
-  if (client_it == clients_.end()) {
+  ++stats_.queries_received;
+  ++stats_.crypto_ops;  // unseal
+  if (pending_.contains(request.request_id) ||
+      !clients_.contains(request.client)) {
     ++stats_.bad_requests;
     return;
   }
@@ -445,14 +437,11 @@ void RvaasController::admit_request(const QueryRequest& request,
   track_pending(std::move(pending), evaluation.to_authenticate);
 }
 
-void RvaasController::handle_subscribe(const sdn::PacketIn& msg) {
+void RvaasController::admit_subscribe(const SubscribeRequest& request,
+                                      sdn::PortRef request_point,
+                                      const crypto::Signature* signature) {
   ++stats_.crypto_ops;  // unseal
-  const auto opened = inband::open_subscribe(msg.packet, enclave_);
-  if (!opened) {
-    ++stats_.bad_requests;
-    return;
-  }
-  const auto& [request, signature] = *opened;
+  if (signature == nullptr) ++stats_.crypto_ops;  // the transport's verify
   const auto client_it = clients_.find(request.client);
   if (client_it == clients_.end()) {
     ++stats_.bad_requests;
@@ -462,28 +451,12 @@ void RvaasController::handle_subscribe(const sdn::PacketIn& msg) {
   // authentic AND fresh: anyone can seal to the public enclave element, and
   // a replayed Subscribe would reset the notification sequence, silencing
   // the client's replay guard against future alerts.
-  ++stats_.crypto_ops;  // signature verification
-  if (!client_it->second.key.verify(request.signing_payload(), signature)) {
-    ++stats_.bad_requests;
-    return;
-  }
-  admit_subscribe(request, PortRef{msg.sw, msg.in_port});
-}
-
-void RvaasController::wire_subscribe(const SubscribeRequest& request,
-                                     sdn::PortRef request_point) {
-  // Opened and signature-verified on a front-end I/O thread against the
-  // enrolled key; the freshness replay guard still runs here, serialized on
-  // the controller thread, where the clock it mutates lives.
-  stats_.crypto_ops += 2;  // unseal + verify, done on the I/O thread
-  admit_subscribe(request, request_point);
-}
-
-void RvaasController::admit_subscribe(const SubscribeRequest& request,
-                                      sdn::PortRef request_point) {
-  if (!clients_.contains(request.client)) {
-    ++stats_.bad_requests;
-    return;
+  if (signature != nullptr) {
+    ++stats_.crypto_ops;  // signature verification
+    if (!client_it->second.key.verify(request.signing_payload(), *signature)) {
+      ++stats_.bad_requests;
+      return;
+    }
   }
   auto& last_freshness = subscribe_freshness_[request.client];
   if (request.freshness <= last_freshness) {
@@ -595,25 +568,10 @@ void RvaasController::dispatch_auth_requests(
       static_cast<std::uint32_t>(pending.expected.size());
 }
 
-void RvaasController::handle_auth_reply(const sdn::PacketIn& msg) {
-  const auto parsed = inband::parse_auth_reply(msg.packet);
-  if (!parsed) return;
-  const auto& [reply, signature] = *parsed;
-  admit_auth_reply(reply, &signature, PortRef{msg.sw, msg.in_port});
-}
-
-void RvaasController::wire_auth_reply(const inband::AuthReply& reply,
-                                      sdn::PortRef from) {
-  // Signature already verified on an I/O thread against reply.client's
-  // enrolled key; `from` is the session's pinned access point, so the
-  // location check below still binds the reply to the probed port.
-  ++stats_.crypto_ops;  // signature verification, done on the I/O thread
-  admit_auth_reply(reply, nullptr, from);
-}
-
 void RvaasController::admit_auth_reply(const inband::AuthReply& reply,
-                                       const crypto::Signature* signature,
-                                       PortRef from) {
+                                       PortRef from,
+                                       const crypto::Signature* signature) {
+  if (signature == nullptr) ++stats_.crypto_ops;  // the transport's verify
   const auto pending_it = pending_.find(reply.request_id);
   if (pending_it == pending_.end()) return;
   PendingQuery& pending = pending_it->second;
@@ -626,14 +584,10 @@ void RvaasController::admit_auth_reply(const inband::AuthReply& reply,
   if (from != expected_ap) return;
 
   const auto client_it = clients_.find(reply.client);
-  if (signature != nullptr) {
-    ++stats_.crypto_ops;  // signature verification
-    if (client_it == clients_.end() ||
-        !client_it->second.key.verify(reply.signing_payload(), *signature)) {
-      ++stats_.auth_replies_bad;
-      return;
-    }
-  } else if (client_it == clients_.end()) {
+  if (signature != nullptr) ++stats_.crypto_ops;  // signature verification
+  if (client_it == clients_.end() ||
+      (signature != nullptr &&
+       !client_it->second.key.verify(reply.signing_payload(), *signature))) {
     ++stats_.auth_replies_bad;
     return;
   }

@@ -138,18 +138,36 @@ class RvaasController : public sdn::Controller {
   FreshnessInfo freshness_for(
       const std::vector<sdn::SwitchId>& footprint) const;
 
-  // --- wire front-end integration (src/net) ---
+  // --- admission: one API, two transports ---
   //
-  // The TCP front-end runs this controller behind real sockets. Inbound
-  // envelopes are opened/verified on the front-end's I/O threads (the
-  // enclave's open/verify/sign are const, pure bignum math — thread-safe)
-  // and enter here through the wire_* entry points on the controller's own
-  // (event-loop) thread; outbound replies/notifications/auth-requests are
-  // offered to the WireTransport as plain structs so the transport can
-  // sign/seal them off-thread with the same enclave key — byte-identical
-  // semantic content, with the per-query asymmetric crypto moved off the
-  // single event-loop thread. A declined delivery (false) falls back to the
-  // normal in-band packet path, so simulated clients are unaffected.
+  // Every client message enters through the three admit_* calls below,
+  // whichever transport carried it. In-band packet-ins (on_packet_in) are
+  // opened and verified here on the event-loop thread. The TCP front-end
+  // (src/net) opens and verifies them on its I/O threads (the enclave's
+  // open/verify/sign are const, pure bignum math — thread-safe) and posts
+  // the plain struct here, onto the event-loop thread. Each call counts the
+  // asymmetric ops its envelope cost, whichever thread did the math, so
+  // crypto_ops is the same on both paths. Outbound replies, notifications
+  // and auth requests are offered to the WireTransport as plain structs, so
+  // the front-end signs/seals them off-thread with the same enclave key. A
+  // declined delivery (false) falls back to the normal in-band packet path,
+  // so simulated clients are unaffected.
+
+  /// A query whose sealed envelope was opened (one unseal).
+  void admit_request(const QueryRequest& request, sdn::PortRef request_point);
+  /// An opened (un)subscribe (one unseal). With `signature`, the client
+  /// signature is verified here against the enrolled key; nullptr means the
+  /// transport already verified it (one more op, counted here). The
+  /// freshness replay guard always runs here, where its clock lives.
+  void admit_subscribe(const SubscribeRequest& request,
+                       sdn::PortRef request_point,
+                       const crypto::Signature* signature);
+  /// An auth reply arriving at `from`. With `signature`, it is verified here,
+  /// and only once the nonce and location checks prove it solicited;
+  /// nullptr means the transport already verified it against reply.client's
+  /// enrolled key (counted here, solicited or not).
+  void admit_auth_reply(const inband::AuthReply& reply, sdn::PortRef from,
+                        const crypto::Signature* signature);
 
   /// Transport seam the TCP front-end implements. All calls arrive on the
   /// controller's event-loop thread; implementations must not call back
@@ -171,15 +189,6 @@ class RvaasController : public sdn::Controller {
   /// Attaches/detaches the wire transport (nullptr = in-band only). The
   /// transport must outlive the controller or be detached first.
   void set_wire_transport(WireTransport* transport) { wire_ = transport; }
-
-  /// Wire-path entry points: the envelope was already opened (and, for
-  /// subscribe/auth, signature-verified against the enrolled key) on an
-  /// I/O thread. Semantics are identical to the in-band packet path from
-  /// this point on — pinned by tests/test_net.cpp byte-identity.
-  void wire_request(const QueryRequest& request, sdn::PortRef request_point);
-  void wire_subscribe(const SubscribeRequest& request,
-                      sdn::PortRef request_point);
-  void wire_auth_reply(const inband::AuthReply& reply, sdn::PortRef from);
 
   /// Wire session death: drops every subscription of `client` (cancelling
   /// in-flight evaluations) so a dead socket never wedges a sweep, and
@@ -302,18 +311,6 @@ class RvaasController : public sdn::Controller {
   /// every subscription whose footprint touches an unreachable switch.
   void on_unreachable();
   void probe_all_links();
-  void handle_request(const sdn::PacketIn& msg);
-  void handle_subscribe(const sdn::PacketIn& msg);
-  void handle_auth_reply(const sdn::PacketIn& msg);
-  /// Shared cores of the in-band and wire request paths (post-open /
-  /// post-verify): exactly one implementation of admission, evaluation and
-  /// auth bookkeeping, so the socket layer cannot drift semantically.
-  void admit_request(const QueryRequest& request, sdn::PortRef request_point);
-  void admit_subscribe(const SubscribeRequest& request,
-                       sdn::PortRef request_point);
-  void admit_auth_reply(const inband::AuthReply& reply,
-                        const crypto::Signature* signature,
-                        sdn::PortRef from);
   /// Begins the auth round-trip for an evaluation already inserted into
   /// pending_ under `request_id`; `targets` fixes the (deterministic)
   /// dispatch order.

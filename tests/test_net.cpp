@@ -12,6 +12,7 @@
 
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "util/ensure.hpp"
 #include "util/rng.hpp"
 #include "workload/wire_world.hpp"
 
@@ -244,6 +245,48 @@ TEST(WireServer, RepliesByteIdenticalToInProcessForAllKinds) {
   wired.service->stop();
 }
 
+TEST(WireServer, CryptoOpsPerQueryMatchInProcess) {
+  // One admission API, two transports: the controller counts the same
+  // asymmetric ops for a query whether its envelope was opened in-band on
+  // the event-loop thread or on a wire I/O thread.
+  constexpr std::uint64_t kSeed = 20160628;
+  workload::ScenarioConfig config;
+  config.generated = workload::linear_fanout(3, 2);
+  config.seed = kSeed;
+  config.rvaas.auth_timeout = 500 * sim::kMillisecond;
+  workload::ScenarioRuntime in_process(std::move(config));
+  in_process.settle(50 * sim::kMillisecond);
+
+  WireWorld wired = make_wire_world(kSeed, /*wire_slots=*/1);
+  const HostId host = wired.wire_hosts.front();
+  auto client = connect_client(wired, host);
+  const auto wire_ops = [&] {
+    return wired.service->call(
+        [&] { return wired.runtime->rvaas().stats().crypto_ops; });
+  };
+
+  for (const QueryKind kind :
+       {QueryKind::ReachableEndpoints, QueryKind::Isolation, QueryKind::Geo}) {
+    Query query;
+    query.kind = kind;
+    const std::uint64_t wire_before = wire_ops();
+    ASSERT_TRUE(client->query(query, 30'000).reply.has_value());
+    const std::uint64_t wire_cost = wire_ops() - wire_before;
+
+    const std::uint64_t local_before = in_process.rvaas().stats().crypto_ops;
+    ASSERT_TRUE(in_process.query_and_wait(host, query, 2 * sim::kSecond)
+                    .reply.has_value());
+    const std::uint64_t local_cost =
+        in_process.rvaas().stats().crypto_ops - local_before;
+    EXPECT_GT(wire_cost, 0u) << to_string(kind);
+    EXPECT_EQ(wire_cost, local_cost) << to_string(kind);
+  }
+
+  client->close();
+  wired.server->stop();
+  wired.service->stop();
+}
+
 TEST(WireServer, SubscriptionPushesAndDeadSocketEvicts) {
   WireWorld world = make_wire_world(/*seed=*/31, /*wire_slots=*/2);
   auto doomed = connect_client(world, world.wire_hosts[0], 0xaa);
@@ -326,6 +369,59 @@ TEST(WireServer, StopWithLiveConnectionsIsSafe) {
   const auto outcome = b->query(query, 200);
   EXPECT_FALSE(outcome.reply.has_value());
 
+  world.service->stop();
+}
+
+TEST(WireClient, SubscribeBeforeConnectThrows) {
+  // No session, so no pinned service keys: subscribing must fail loudly with
+  // the trust precondition, never seal to an empty key.
+  WireClient client(WireClientConfig{});
+  Property property;
+  property.kind = QueryKind::ReachableEndpoints;
+  EXPECT_THROW(client.subscribe(property), util::InvariantViolation);
+}
+
+TEST(WireClient, ReconnectAfterCloseWithBufferedPushes) {
+  // Two EveryChange subscriptions leave pushes buffered in the client when
+  // only one is consumed. close() + connect() must start a clean stream: a
+  // leftover frame from the old session is not the new WELCOME.
+  WireWorld world = make_wire_world(/*seed=*/53, /*wire_slots=*/1);
+  auto client = connect_client(world, world.wire_hosts[0], 0x7ec);
+
+  Property property;
+  property.kind = QueryKind::ReachableEndpoints;
+  property.expect.require_full_auth = false;
+  client->subscribe(property, core::NotifyPolicy::EveryChange);
+  client->subscribe(property, core::NotifyPolicy::EveryChange);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  ASSERT_TRUE(client->wait_notification(30'000).has_value());
+
+  client->close();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (world.server->sessions().active() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(world.server->sessions().active(), 0u);
+
+  ASSERT_EQ(client->connect(), WelcomeStatus::Ok);
+  // The new session works end to end: a fresh subscription's baseline is
+  // its first push, and a one-shot query is answered and verified.
+  const std::uint64_t id =
+      client->subscribe(property, core::NotifyPolicy::EveryChange);
+  const auto baseline = client->wait_notification(30'000);
+  ASSERT_TRUE(baseline.has_value());
+  EXPECT_EQ(baseline->subscription_id, id);
+  EXPECT_EQ(baseline->sequence, 1u);
+  Query query;
+  query.kind = QueryKind::Isolation;
+  const auto outcome = client->query(query, 30'000);
+  ASSERT_TRUE(outcome.reply.has_value());
+  EXPECT_TRUE(outcome.signature_ok);
+
+  client->close();
+  world.server->stop();
   world.service->stop();
 }
 
