@@ -58,7 +58,7 @@ int main() {
   const core::QueryEngine engine(topo, core::EngineConfig{});
   const core::DisclosedGeo geo(topo);
 
-  core::QueryEngine::BatchContext ctx;
+  core::QueryEngine::EvalContext ctx;
   ctx.from = topo.host_ports(runtime.hosts().front()).front();
   ctx.geo = &geo;
   ctx.addressing = &runtime.addressing();

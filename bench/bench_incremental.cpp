@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   }
 
   core::QueryEngine engine(topo, core::EngineConfig{});
-  core::QueryEngine::BatchContext ctx;
+  core::QueryEngine::EvalContext ctx;
   ctx.from = topo.host_ports(runtime.hosts().front()).front();
   core::Query query;
   query.kind = core::QueryKind::ReachableEndpoints;

@@ -556,12 +556,9 @@ QueryEngine::Evaluation QueryEngine::evaluate(const hsa::NetworkModel& model,
           transfer_summary(model, snap, ctx.from, hs, fp);
       break;
     case QueryKind::PolicyCompliance:
-      // The cross-domain walk lives in the federation layer; the dependency
-      // footprint is left empty because the crossings depend on OTHER
-      // domains' snapshots, which this engine's change clock cannot see.
-      if (ctx.policy != nullptr) {
-        out.reply.policy_report = ctx.policy->walk(ctx.from, hs);
-      }
+      // A lone domain has no crossings to verify: the report is empty. The
+      // cross-domain walk is Federation::verify_policy
+      // (rvaas/multiprovider.hpp).
       break;
   }
 
@@ -601,7 +598,7 @@ QueryEngine::Answer QueryEngine::answer(const hsa::NetworkModel& model,
 std::vector<QueryReply> QueryEngine::run_batch(const SnapshotManager& snap,
                                                std::span<const Query> queries,
                                                std::size_t threads,
-                                               const BatchContext& ctx) const {
+                                               const EvalContext& ctx) const {
   util::ThreadPool pool(threads <= 1 ? 0 : threads - 1);
   return run_batch(snap, queries, pool, ctx);
 }
@@ -609,7 +606,7 @@ std::vector<QueryReply> QueryEngine::run_batch(const SnapshotManager& snap,
 std::vector<QueryReply> QueryEngine::run_batch(const SnapshotManager& snap,
                                                std::span<const Query> queries,
                                                util::ThreadPool& pool,
-                                               const BatchContext& ctx) const {
+                                               const EvalContext& ctx) const {
   // One compilation of the snapshot amortizes over the whole batch; the
   // resulting model is immutable, so queries read it concurrently.
   const hsa::NetworkModel compiled = model(snap);

@@ -320,27 +320,13 @@ class QueryEngine {
   static std::vector<std::string> render_paths(
       const std::vector<std::vector<sdn::SwitchId>>& paths);
 
-  /// Hook for PolicyCompliance evaluations, implemented by the federation
-  /// layer (rvaas/multiprovider.hpp): walks observed inter-domain crossings
-  /// for traffic entering at `from` and reports each against the declared
-  /// policies. The engine itself knows nothing about domains — a
-  /// PolicyCompliance evaluation without a walker yields an empty report (a
-  /// lone domain has no crossings to verify).
-  class PolicyWalker {
-   public:
-    virtual ~PolicyWalker() = default;
-    virtual std::vector<PolicyReportItem> walk(
-        sdn::PortRef from, const hsa::HeaderSpace& hs) const = 0;
-  };
-
   /// Per-evaluation context: where the request entered the network, the
-  /// optional providers some query kinds need, and internal knobs used by
-  /// the federation path.
+  /// optional providers some query kinds need, and the knobs a federated
+  /// subquery sets (rvaas/multiprovider.hpp).
   struct EvalContext {
     sdn::PortRef from{};
     const GeoProvider* geo = nullptr;                     ///< Geo queries
     const control::HostAddressing* addressing = nullptr;  ///< PathLength
-    const PolicyWalker* policy = nullptr;  ///< PolicyCompliance queries
     /// Pre-built constraint space overriding the property's Match (federated
     /// crossing spaces are multi-cube and have no Match representation).
     const hsa::HeaderSpace* space_override = nullptr;
@@ -349,8 +335,6 @@ class QueryEngine {
     /// not the requester.
     bool exclude_requester = true;
   };
-  /// Historical name from the batch-only days; same structure.
-  using BatchContext = EvalContext;
 
   /// The logical step of verifying one Property: everything the engine can
   /// compute from the snapshot alone — THE single per-QueryKind dispatch.
@@ -399,13 +383,13 @@ class QueryEngine {
   std::vector<QueryReply> run_batch(const SnapshotManager& snap,
                                     std::span<const Query> queries,
                                     std::size_t threads,
-                                    const BatchContext& ctx) const;
+                                    const EvalContext& ctx) const;
 
   /// As above, fanned out over an existing pool (reused across batches).
   std::vector<QueryReply> run_batch(const SnapshotManager& snap,
                                     std::span<const Query> queries,
                                     util::ThreadPool& pool,
-                                    const BatchContext& ctx) const;
+                                    const EvalContext& ctx) const;
 
   const EngineConfig& config() const { return config_; }
   /// The wiring plan this engine compiles models against.

@@ -1,10 +1,9 @@
 #include "rvaas/multiprovider.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <set>
 
 #include "util/ensure.hpp"
-#include "util/fnv.hpp"
 
 namespace rvaas::core {
 
@@ -22,7 +21,7 @@ const char* to_string(NeighborClass cls) {
 
 void Federation::add_domain(ProviderId id, RvaasController& rvaas) {
   util::ensure(!domains_.contains(id), "duplicate provider id");
-  domains_[id] = Domain{&rvaas, &rvaas.engine().topology()};
+  domains_[id] = &rvaas;
 }
 
 void Federation::add_peering(ProviderId a, sdn::PortRef border, ProviderId b,
@@ -84,7 +83,7 @@ bool Federation::verify_subquery(ProviderId from, const util::Bytes& payload,
                                  const crypto::Signature& sig) const {
   const auto it = domains_.find(from);
   if (it == domains_.end()) return false;
-  return it->second.rvaas->enclave().verify_key().verify(payload, sig);
+  return it->second->enclave().verify_key().verify(payload, sig);
 }
 
 util::Bytes Federation::subquery_payload(sdn::PortRef ingress,
@@ -102,131 +101,29 @@ util::Bytes Federation::subquery_payload(sdn::PortRef ingress,
   return w.take();
 }
 
-namespace {
-
-struct FederatedEndpointHash {
-  std::size_t operator()(const FederatedEndpoint& e) const {
-    std::uint64_t h = util::kFnvOffsetBasis;
-    const std::uint32_t words[] = {
-        e.provider.value,
-        e.info.access_point.sw.value,
-        e.info.access_point.port.value,
-        static_cast<std::uint32_t>(e.info.dark) |
-            (static_cast<std::uint32_t>(e.info.authenticated) << 1) |
-            (static_cast<std::uint32_t>(e.info.authenticated_as.has_value())
-             << 2),
-        e.info.authenticated_as ? e.info.authenticated_as->value : 0};
-    for (const std::uint32_t word : words) {
-      for (int shift = 0; shift < 32; shift += 8) {
-        h = util::fnv1a_mix(h, static_cast<std::uint8_t>(word >> shift));
-      }
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-}  // namespace
-
-FederatedResult Federation::reachable(ProviderId start, sdn::PortRef ingress,
-                                      const sdn::Match& constraint,
-                                      std::uint32_t max_domains) const {
-  FederatedResult out;
-  const hsa::HeaderSpace hs(hsa::match_to_cube(constraint));
-  std::vector<ProviderId> visited;
-  reach_in_domain(start, ingress, hs, max_domains, visited, out);
-
-  // Dedupe: branches of the walk that re-enter a domain (or several raw
-  // subspaces exiting at one access point) would otherwise repeat the same
-  // (provider, access point) answer. Hashed first-seen keeps first
-  // occurrence order in O(n), instead of the old O(n^2) linear rescans.
-  std::vector<FederatedEndpoint> unique;
-  unique.reserve(out.endpoints.size());
-  std::unordered_set<FederatedEndpoint, FederatedEndpointHash> seen;
-  for (FederatedEndpoint& e : out.endpoints) {
-    if (seen.insert(e).second) unique.push_back(std::move(e));
-  }
-  out.endpoints = std::move(unique);
-  return out;
-}
-
-void Federation::reach_in_domain(ProviderId domain, sdn::PortRef ingress,
-                                 const hsa::HeaderSpace& hs,
-                                 std::uint32_t depth_left,
-                                 std::vector<ProviderId>& visited,
-                                 FederatedResult& out) const {
+/// The one federation walk. Each domain answers from its own snapshot —
+/// domains never see each other's configuration, only endpoint answers
+/// (confidentiality). A subquery runs through the domain engine's single
+/// per-kind dispatch (QueryEngine::evaluate), so it shares the incremental
+/// model cache (L1) and reach cache (L2) with the domain's own query paths:
+/// a walk re-entering an unchanged domain at the same ingress is a cache
+/// hit. The crossing space is multi-cube, hence space_override; a border
+/// ingress is not a requester, hence no hairpin exclusion.
+///
+/// Every raw egress subspace of the domain's reach goes to the visitor:
+/// `deliver` for a terminal egress, `cross` for a peered border, after which
+/// the walk continues in the peer domain as a signed server-to-server
+/// subquery. `entered_from` is the class of the neighbor the traffic entered
+/// this domain from — the valley-free state the policy visitor judges.
+template <typename Visitor>
+void Federation::walk(ProviderId domain, sdn::PortRef ingress,
+                      NeighborClass entered_from, const hsa::HeaderSpace& hs,
+                      std::uint32_t depth_left,
+                      std::vector<ProviderId>& visited, WalkStats& stats,
+                      Visitor& visitor) const {
   // The loop guard runs BEFORE the depth check: a branch pruned for
   // re-entering a domain terminates regardless of budget, so it must not
   // report depth_exceeded (a loop is not a depth problem).
-  if (std::find(visited.begin(), visited.end(), domain) != visited.end()) {
-    return;  // provider-level loop guard
-  }
-  if (depth_left == 0) {
-    out.depth_exceeded = true;
-    return;
-  }
-  visited.push_back(domain);
-  ++out.domains_visited;
-
-  const auto it = domains_.find(domain);
-  util::ensure(it != domains_.end(), "unknown domain in federation walk");
-  const Domain& dom = it->second;
-
-  // Each domain's RVaaS answers from its own snapshot — domains never see
-  // each other's configuration, only endpoint answers (confidentiality).
-  // The subquery runs through the domain engine's single per-kind dispatch
-  // (QueryEngine::evaluate), so it shares the incremental model cache (L1)
-  // and reach cache (L2) with the domain's own query paths — a federated
-  // walk re-entering an unchanged domain at the same ingress is a cache
-  // hit. The crossing space is multi-cube, hence space_override; a border
-  // ingress is not a requester, hence no hairpin exclusion.
-  const QueryEngine& engine = dom.rvaas->engine();
-  Property property;
-  property.kind = QueryKind::ReachableEndpoints;
-  QueryEngine::EvalContext ctx;
-  ctx.from = ingress;
-  ctx.space_override = &hs;
-  ctx.exclude_requester = false;
-  const QueryEngine::Evaluation eval =
-      engine.evaluate(dom.rvaas->snapshot(), property, ctx);
-
-  // Terminal endpoints of this domain, from the evaluated reply.
-  for (const EndpointInfo& info : eval.reply.endpoints) {
-    if (peerings_.contains({domain, info.access_point})) continue;
-    FederatedEndpoint fe;
-    fe.provider = domain;
-    fe.info.access_point = info.access_point;
-    fe.info.dark = info.dark;
-    out.endpoints.push_back(fe);
-  }
-
-  // Border crossings continue with each raw egress subspace, as signed
-  // server-to-server subqueries.
-  for (const auto& endpoint : eval.primary_reach->endpoints) {
-    const auto peering_it = peerings_.find({domain, endpoint.egress});
-    if (peering_it == peerings_.end()) continue;
-
-    const Peering& peering = peering_it->second;
-    const util::Bytes payload =
-        subquery_payload(peering.ingress, endpoint.space, depth_left - 1);
-    const crypto::Signature sig = dom.rvaas->enclave().sign(payload);
-    const bool accepted = verify_subquery(domain, payload, sig);
-    util::ensure(accepted, "federated subquery signature rejected");
-    ++out.subqueries;
-
-    reach_in_domain(peering.to, peering.ingress, endpoint.space,
-                    depth_left - 1, visited, out);
-  }
-  visited.pop_back();
-}
-
-void Federation::policy_in_domain(ProviderId domain, sdn::PortRef ingress,
-                                  NeighborClass entered_from,
-                                  const hsa::HeaderSpace& hs,
-                                  std::uint32_t depth_left,
-                                  std::vector<ProviderId>& visited,
-                                  std::vector<PolicyReportItem>& report,
-                                  WalkStats& stats) const {
-  // Same guard order as reach_in_domain (see the comment there).
   if (std::find(visited.begin(), visited.end(), domain) != visited.end()) {
     return;
   }
@@ -241,9 +138,8 @@ void Federation::policy_in_domain(ProviderId domain, sdn::PortRef ingress,
 
   const auto it = domains_.find(domain);
   util::ensure(it != domains_.end(), "unknown domain in federation walk");
-  const Domain& dom = it->second;
+  const RvaasController& rvaas = *it->second;
 
-  const QueryEngine& engine = dom.rvaas->engine();
   Property property;
   property.kind = QueryKind::ReachableEndpoints;
   QueryEngine::EvalContext ctx;
@@ -251,47 +147,99 @@ void Federation::policy_in_domain(ProviderId domain, sdn::PortRef ingress,
   ctx.space_override = &hs;
   ctx.exclude_requester = false;
   const QueryEngine::Evaluation eval =
-      engine.evaluate(dom.rvaas->snapshot(), property, ctx);
+      rvaas.engine().evaluate(rvaas.snapshot(), property, ctx);
 
-  const auto origin = origins_.find(domain);
-  for (const auto& endpoint : eval.primary_reach->endpoints) {
+  for (const hsa::ReachedEndpoint& endpoint : eval.primary_reach->endpoints) {
     const auto peering_it = peerings_.find({domain, endpoint.egress});
     if (peering_it == peerings_.end()) {
-      // Terminal delivery. Dark-port egress is the exfiltration story of
-      // the endpoint query kinds; the origin question applies to actual
-      // host deliveries: traffic delivered locally outside the domain's
-      // authorized origin space is a hijack indicator.
-      if (origin == origins_.end()) continue;
-      if (!dom.topo->host_at(endpoint.egress).has_value()) continue;
-      hsa::HeaderSpace residual = endpoint.space;
-      for (const hsa::Wildcard& w : origin->second.resolve()) {
-        residual = residual.subtract(w);
-      }
-      if (!residual.is_empty()) {
-        report.push_back(PolicyReportItem{
-            PolicyVerdict::UnauthorizedOrigin, domain, domain,
-            endpoint.egress, endpoint.egress, endpoint.space.fingerprint()});
-      }
+      visitor.deliver(domain, endpoint);
       continue;
     }
-
     const Peering& peering = peering_it->second;
-    // Judge the crossing: declared relations both ways, then each side's
-    // rule store, then the valley-free condition (traffic learned from a
-    // non-customer may only be exported to a customer).
-    const auto rel_out = relation(domain, peering.to);
-    const auto rel_in = relation(peering.to, domain);
+    visitor.cross(domain, peering, entered_from, endpoint);
+
+    const util::Bytes payload =
+        subquery_payload(peering.ingress, endpoint.space, depth_left - 1);
+    const crypto::Signature sig = rvaas.enclave().sign(payload);
+    util::ensure(verify_subquery(domain, payload, sig),
+                 "federated subquery signature rejected");
+    ++stats.subqueries;
+
+    // An undeclared inverse relation worst-cases to Provider so a later
+    // export can still be recognized as a leak.
+    walk(peering.to, peering.ingress,
+         relation(peering.to, domain).value_or(NeighborClass::Provider),
+         endpoint.space, depth_left - 1, visited, stats, visitor);
+  }
+  visited.pop_back();
+}
+
+/// Collects terminal endpoints, each (provider, access point) once: branches
+/// that re-enter a domain, or several raw subspaces exiting at one access
+/// point, repeat the same answer. `dark` is a function of the access point
+/// and federated endpoints are never authenticated, so the pair is the
+/// whole endpoint.
+struct Federation::ReachVisitor {
+  std::vector<FederatedEndpoint> endpoints;
+  std::set<std::pair<ProviderId, sdn::PortRef>> seen;
+
+  void deliver(ProviderId domain, const hsa::ReachedEndpoint& endpoint) {
+    if (!seen.emplace(domain, endpoint.egress).second) return;
+    FederatedEndpoint fe;
+    fe.provider = domain;
+    fe.info.access_point = endpoint.egress;
+    fe.info.dark = !endpoint.host.has_value();
+    endpoints.push_back(fe);
+  }
+  void cross(ProviderId, const Peering&, NeighborClass,
+             const hsa::ReachedEndpoint&) {}
+};
+
+/// Judges each crossing against relations + import/export rules and each
+/// terminal host delivery against the authorized origin space. Continues
+/// past violations: downstream of a leak there may be more to surface.
+struct Federation::PolicyVisitor {
+  const Federation& fed;
+  std::vector<PolicyReportItem> report;
+
+  void deliver(ProviderId domain, const hsa::ReachedEndpoint& endpoint) {
+    // Dark-port egress is the exfiltration story of the endpoint query
+    // kinds; the origin question applies to actual host deliveries: traffic
+    // delivered locally outside the domain's authorized origin space is a
+    // hijack indicator.
+    const auto origin = fed.origins_.find(domain);
+    if (origin == fed.origins_.end()) return;
+    if (!endpoint.host.has_value()) return;
+    hsa::HeaderSpace residual = endpoint.space;
+    for (const hsa::Wildcard& w : origin->second.resolve()) {
+      residual = residual.subtract(w);
+    }
+    if (!residual.is_empty()) {
+      report.push_back(PolicyReportItem{
+          PolicyVerdict::UnauthorizedOrigin, domain, domain, endpoint.egress,
+          endpoint.egress, endpoint.space.fingerprint()});
+    }
+  }
+
+  void cross(ProviderId domain, const Peering& peering,
+             NeighborClass entered_from,
+             const hsa::ReachedEndpoint& endpoint) {
+    // Declared relations both ways, then each side's rule store, then the
+    // valley-free condition (traffic learned from a non-customer may only
+    // be exported to a customer).
+    const auto rel_out = fed.relation(domain, peering.to);
+    const auto rel_in = fed.relation(peering.to, domain);
     PolicyVerdict verdict = PolicyVerdict::Ok;
     if (!rel_out || !rel_in) {
       verdict = PolicyVerdict::UnexpectedCrossing;
     } else {
-      const auto exp = policies_.find(domain);
-      const auto imp = policies_.find(peering.to);
+      const auto exp = fed.policies_.find(domain);
+      const auto imp = fed.policies_.find(peering.to);
       const bool exported =
-          exp == policies_.end() ||
+          exp == fed.policies_.end() ||
           policy_allows(exp->second.export_rules, *rel_out, endpoint.space);
       const bool imported =
-          imp == policies_.end() ||
+          imp == fed.policies_.end() ||
           policy_allows(imp->second.import_rules, *rel_in, endpoint.space);
       if (!exported || !imported) {
         verdict = PolicyVerdict::UnexpectedCrossing;
@@ -303,50 +251,27 @@ void Federation::policy_in_domain(ProviderId domain, sdn::PortRef ingress,
     report.push_back(PolicyReportItem{verdict, domain, peering.to,
                                       endpoint.egress, peering.ingress,
                                       endpoint.space.fingerprint()});
-
-    const util::Bytes payload =
-        subquery_payload(peering.ingress, endpoint.space, depth_left - 1);
-    const crypto::Signature sig = dom.rvaas->enclave().sign(payload);
-    util::ensure(verify_subquery(domain, payload, sig),
-                 "federated subquery signature rejected");
-    ++stats.subqueries;
-
-    // Continue past violations: downstream of a leak there may be more to
-    // surface. An undeclared inverse relation worst-cases to Provider so a
-    // later export can still be recognized as a leak.
-    policy_in_domain(peering.to, peering.ingress,
-                     rel_in.value_or(NeighborClass::Provider), endpoint.space,
-                     depth_left - 1, visited, report, stats);
   }
-  visited.pop_back();
-}
-
-/// Adapter handed to QueryEngine::evaluate: the engine's PolicyCompliance
-/// dispatch calls back into the federation walk with the evaluated
-/// constraint space. Stats are mutable because walk() is const for the
-/// engine but is the one place the walk's cost is observable.
-class Federation::BoundWalker final : public QueryEngine::PolicyWalker {
- public:
-  BoundWalker(const Federation& fed, ProviderId start,
-              std::uint32_t max_domains)
-      : fed_(fed), start_(start), max_domains_(max_domains) {}
-
-  std::vector<PolicyReportItem> walk(
-      sdn::PortRef from, const hsa::HeaderSpace& hs) const override {
-    std::vector<PolicyReportItem> report;
-    std::vector<ProviderId> visited;
-    fed_.policy_in_domain(start_, from, fed_.entry_class(start_, from), hs,
-                          max_domains_, visited, report, stats);
-    return report;
-  }
-
-  mutable WalkStats stats;
-
- private:
-  const Federation& fed_;
-  ProviderId start_;
-  std::uint32_t max_domains_;
 };
+
+FederatedResult Federation::reachable(ProviderId start, sdn::PortRef ingress,
+                                      const sdn::Match& constraint,
+                                      std::uint32_t max_domains) const {
+  ReachVisitor visitor;
+  WalkStats stats;
+  std::vector<ProviderId> visited;
+  // Reachability ignores the valley-free state.
+  walk(start, ingress, NeighborClass::Customer,
+       QueryEngine::constraint_space(constraint), max_domains, visited, stats,
+       visitor);
+
+  FederatedResult out;
+  out.endpoints = std::move(visitor.endpoints);
+  out.subqueries = stats.subqueries;
+  out.domains_visited = stats.domains_visited;
+  out.depth_exceeded = stats.depth_exceeded;
+  return out;
+}
 
 PolicyVerification Federation::verify_policy(ProviderId start,
                                              sdn::PortRef ingress,
@@ -354,26 +279,22 @@ PolicyVerification Federation::verify_policy(ProviderId start,
                                              std::uint32_t max_domains) const {
   const auto it = domains_.find(start);
   util::ensure(it != domains_.end(), "unknown start domain");
-  const Domain& dom = it->second;
 
-  const BoundWalker walker(*this, start, max_domains);
-  Property property;
-  property.kind = QueryKind::PolicyCompliance;
-  property.constraint = constraint;
-  QueryEngine::EvalContext ctx;
-  ctx.from = ingress;
-  ctx.policy = &walker;
-  ctx.exclude_requester = false;
-  QueryEngine::Evaluation eval =
-      dom.rvaas->engine().evaluate(dom.rvaas->snapshot(), property, ctx);
+  PolicyVisitor visitor{*this, {}};
+  WalkStats stats;
+  std::vector<ProviderId> visited;
+  walk(start, ingress, entry_class(start, ingress),
+       QueryEngine::constraint_space(constraint), max_domains, visited, stats,
+       visitor);
 
   PolicyVerification out;
-  out.reply = std::move(eval.reply);
-  out.signature = dom.rvaas->enclave().sign(out.reply.signing_payload());
-  out.domains_visited = walker.stats.domains_visited;
-  out.subqueries = walker.stats.subqueries;
-  out.max_walk_depth = walker.stats.max_depth;
-  out.depth_exceeded = walker.stats.depth_exceeded;
+  out.reply.kind = QueryKind::PolicyCompliance;
+  out.reply.policy_report = std::move(visitor.report);
+  out.signature = it->second->enclave().sign(out.reply.signing_payload());
+  out.domains_visited = stats.domains_visited;
+  out.subqueries = stats.subqueries;
+  out.max_walk_depth = stats.max_depth;
+  out.depth_exceeded = stats.depth_exceeded;
   return out;
 }
 

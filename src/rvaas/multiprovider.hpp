@@ -5,12 +5,12 @@
 // port, a signed subquery continues in the peer domain. Trust extends to
 // all traversed RVaaS servers (exactly as the paper states).
 //
-// On top of the reachability walk, the federation keeps a per-domain policy
-// store — business relations (customer/peer/provider), import/export rules
-// over prefix spaces, and authorized origin prefixes — and verifies observed
-// crossings against it (QueryKind::PolicyCompliance): the route-origin /
-// route-leak validation problem of the RPKI literature, answered from the
-// data plane instead of from BGP announcements.
+// The same walk also serves policy verification: the federation keeps a
+// per-domain policy store — business relations (customer/peer/provider),
+// import/export rules over prefix spaces, and authorized origin prefixes —
+// and judges observed crossings against it (QueryKind::PolicyCompliance):
+// the route-origin / route-leak validation problem of the RPKI literature,
+// answered from the data plane instead of from BGP announcements.
 
 #include "rvaas/controller.hpp"
 
@@ -110,9 +110,9 @@ class Federation {
                             std::uint32_t max_domains = 8) const;
 
   /// Policy-compliance walk over the observed crossings of traffic entering
-  /// at `ingress` of `start`: evaluated through the start domain's
-  /// QueryEngine (the PolicyCompliance dispatch hands the walk back to this
-  /// federation) and signed by its enclave, like any other reply.
+  /// at `ingress` of `start`: the same walk as reachable(), its report
+  /// returned as a PolicyCompliance reply signed by the start domain's
+  /// enclave, like any other reply.
   PolicyVerification verify_policy(ProviderId start, sdn::PortRef ingress,
                                    const sdn::Match& constraint,
                                    std::uint32_t max_domains = 8) const;
@@ -126,10 +126,6 @@ class Federation {
                                       std::uint32_t depth_left);
 
  private:
-  struct Domain {
-    RvaasController* rvaas = nullptr;
-    const sdn::Topology* topo = nullptr;
-  };
   struct Peering {
     ProviderId to{};
     sdn::PortRef ingress;
@@ -141,24 +137,20 @@ class Federation {
     bool depth_exceeded = false;
   };
 
-  /// `visited` is the provider chain of the current walk branch, maintained
-  /// by reference with push/pop backtracking (no per-recursion copies).
-  void reach_in_domain(ProviderId domain, sdn::PortRef ingress,
-                       const hsa::HeaderSpace& hs, std::uint32_t depth_left,
-                       std::vector<ProviderId>& visited,
-                       FederatedResult& out) const;
+  struct ReachVisitor;   ///< collects deduplicated terminal endpoints
+  struct PolicyVisitor;  ///< judges crossings and terminal origins
 
-  /// The PolicyCompliance twin of reach_in_domain: same traversal, but each
-  /// crossing is judged against relations + import/export rules and each
-  /// terminal delivery against the authorized origin space. `entered_from`
-  /// is the class of the neighbor the traffic entered this domain from
-  /// (Customer for domain-originated walks) — the valley-free state.
-  void policy_in_domain(ProviderId domain, sdn::PortRef ingress,
-                        NeighborClass entered_from,
-                        const hsa::HeaderSpace& hs, std::uint32_t depth_left,
-                        std::vector<ProviderId>& visited,
-                        std::vector<PolicyReportItem>& report,
-                        WalkStats& stats) const;
+  /// The one recursive walk behind reachable() and verify_policy(): loop
+  /// guard, depth budget, per-domain evaluate and one signed subquery per
+  /// border crossing, with the visitor's `deliver` / `cross` hooks deciding
+  /// what each egress means. `visited` is the provider chain of the current
+  /// branch, maintained by reference with push/pop backtracking (no
+  /// per-recursion copies).
+  template <typename Visitor>
+  void walk(ProviderId domain, sdn::PortRef ingress, NeighborClass entered_from,
+            const hsa::HeaderSpace& hs, std::uint32_t depth_left,
+            std::vector<ProviderId>& visited, WalkStats& stats,
+            Visitor& visitor) const;
 
   std::optional<NeighborClass> relation(ProviderId domain,
                                         ProviderId neighbor) const;
@@ -177,9 +169,7 @@ class Federation {
   bool verify_subquery(ProviderId from, const util::Bytes& payload,
                        const crypto::Signature& sig) const;
 
-  class BoundWalker;  ///< QueryEngine::PolicyWalker bound to one walk
-
-  std::map<ProviderId, Domain> domains_;
+  std::map<ProviderId, RvaasController*> domains_;
   std::map<std::pair<ProviderId, sdn::PortRef>, Peering> peerings_;
   std::map<std::pair<ProviderId, ProviderId>, NeighborClass> relations_;
   std::map<ProviderId, RoutePolicy> policies_;

@@ -45,8 +45,8 @@ struct BatchFixture {
                        EngineConfig{policy, 64});
   }
 
-  QueryEngine::BatchContext context(HostId client) {
-    QueryEngine::BatchContext ctx;
+  QueryEngine::EvalContext context(HostId client) {
+    QueryEngine::EvalContext ctx;
     ctx.from = runtime.network().topology().host_ports(client).front();
     ctx.geo = &geo;
     ctx.addressing = &runtime.addressing();
@@ -83,7 +83,7 @@ struct BatchFixture {
 
 std::vector<util::Bytes> sequential_payloads(
     const QueryEngine& engine, BatchFixture& f,
-    const QueryEngine::BatchContext& ctx, const std::vector<Query>& qs) {
+    const QueryEngine::EvalContext& ctx, const std::vector<Query>& qs) {
   const hsa::NetworkModel model = engine.model(f.runtime.rvaas().snapshot());
   std::vector<util::Bytes> out;
   for (const Query& q : qs) {

@@ -163,7 +163,7 @@ TEST(CompiledModelCache, IncrementalIsByteIdenticalToColdAcrossChurn) {
 
     // Observable pin: replies computed on both models serialize to the
     // same bytes.
-    QueryEngine::BatchContext ctx;
+    QueryEngine::EvalContext ctx;
     ctx.from = access_points[rng.below(access_points.size())];
     Query query;
     query.kind = QueryKind::ReachableEndpoints;

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
+#include "attacks/attacks.hpp"
+#include "crypto/sha256.hpp"
 #include "hsa/transfer.hpp"
 #include "rvaas/multiprovider.hpp"
+#include "util/hex.hpp"
 #include "workload/as_world.hpp"
 #include "workload/scenario.hpp"
 
@@ -151,6 +155,11 @@ TEST(Federation, DepthLimitReported) {
   const auto result = f.fed.reachable(ProviderId(1), {SwitchId(1), PortNo(2)},
                                       sdn::Match(), /*max_domains=*/1);
   EXPECT_TRUE(result.depth_exceeded);
+
+  const auto policy = f.fed.verify_policy(
+      ProviderId(1), {SwitchId(1), PortNo(2)}, sdn::Match(),
+      /*max_domains=*/1);
+  EXPECT_TRUE(policy.depth_exceeded);
 }
 
 TEST(Federation, ConstraintPropagatesAcrossDomains) {
@@ -214,6 +223,13 @@ TEST(Federation, DepthNotExceededOnLoopPrune) {
   // both domains were visited and nothing was left unexplored.
   EXPECT_FALSE(result.depth_exceeded);
   EXPECT_EQ(result.domains_visited, 2u);
+
+  // The policy walk shares the guard order.
+  const auto policy = f.fed.verify_policy(
+      ProviderId(1), {SwitchId(1), PortNo(2)}, sdn::Match(),
+      /*max_domains=*/2);
+  EXPECT_FALSE(policy.depth_exceeded);
+  EXPECT_EQ(policy.domains_visited, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -406,6 +422,165 @@ TEST(PolicyCompliance, AsWorldBaselineIsClean) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden outputs of both walk kinds over seeded AS worlds: the baseline,
+// one route-origin hijack and one route leak. Policy replies are pinned
+// byte for byte (report order is signed); reach answers are a set, so
+// their endpoints are pinned sorted. A restructured walk must reproduce
+// these digests unchanged; a different digest is a behaviour change.
+
+namespace walk_pin {
+
+using workload::AsWorld;
+
+sdn::Match dst_tcp(std::uint32_t dst) {
+  return sdn::Match()
+      .exact(sdn::Field::IpDst, dst)
+      .exact(sdn::Field::IpProto, sdn::kIpProtoTcp);
+}
+
+/// First host IP of another domain outside `d`'s customer cone.
+std::uint32_t foreign_ip(AsWorld& world, std::size_t d) {
+  const auto& cone = world.cone_ips(d);
+  for (std::size_t x = 0; x < world.domain_count(); ++x) {
+    if (x == d) continue;
+    for (const auto h : world.domain_hosts(x)) {
+      const std::uint32_t ip = control::HostAddressing::derive(h).ip;
+      if (std::find(cone.begin(), cone.end(), ip) == cone.end()) return ip;
+    }
+  }
+  ADD_FAILURE() << "no foreign destination for domain " << d;
+  return 0;
+}
+
+struct Walk {
+  std::size_t domain = 0;
+  PortRef ingress;
+  sdn::Match constraint;
+  std::uint32_t max_domains = 4;
+};
+
+/// Runs both walk kinds for every entry of `walks` and folds their outputs
+/// into `w`.
+void record(AsWorld& world, const std::vector<Walk>& walks,
+            util::ByteWriter& w) {
+  for (const Walk& walk : walks) {
+    const ProviderId start = AsWorld::provider_of(walk.domain);
+    const PolicyVerification v = world.federation().verify_policy(
+        start, walk.ingress, walk.constraint, walk.max_domains);
+    w.put_bytes(v.reply.signing_payload());
+    w.put_bytes(v.signature.serialize());
+    w.put_u32(v.domains_visited);
+    w.put_u32(v.subqueries);
+    w.put_u32(v.max_walk_depth);
+    w.put_bool(v.depth_exceeded);
+
+    FederatedResult r = world.federation().reachable(
+        start, walk.ingress, walk.constraint, walk.max_domains);
+    const auto key = [](const FederatedEndpoint& e) {
+      return std::tuple(e.provider.value, e.info.access_point.sw.value,
+                        e.info.access_point.port.value, e.info.dark);
+    };
+    std::sort(r.endpoints.begin(), r.endpoints.end(),
+              [&](const FederatedEndpoint& a, const FederatedEndpoint& b) {
+                return key(a) < key(b);
+              });
+    w.put_u32(static_cast<std::uint32_t>(r.endpoints.size()));
+    for (const FederatedEndpoint& e : r.endpoints) {
+      util::ByteWriter ew;
+      e.info.serialize(ew);
+      w.put_u32(e.provider.value);
+      w.put_bytes(ew.data());
+    }
+    w.put_u32(r.subqueries);
+    w.put_u32(r.domains_visited);
+    w.put_bool(r.depth_exceeded);
+  }
+}
+
+std::string digest(const util::ByteWriter& w) {
+  return util::to_hex(crypto::sha256(w.data()));
+}
+
+}  // namespace walk_pin
+
+TEST(Federation, WalkOutputsPinned) {
+  using walk_pin::Walk;
+  workload::AsWorldConfig config;
+  config.n_domains = 6;
+  config.seed = 23;
+  config.tier0_fat_tree = false;
+  workload::AsWorld world(config);
+  const auto transit = world.transit_ingresses();
+  ASSERT_GE(transit.size(), 3u);
+
+  // From each transit ingress: a deep in-cone destination and a foreign
+  // one. From one host of every domain: the whole header space, which the
+  // default routes carry up and across the hierarchy (many crossings,
+  // domains re-entered through several branches, and a tight budget on
+  // every other domain).
+  std::vector<Walk> walks;
+  for (const auto& in : transit) {
+    walks.push_back({in.domain, in.port,
+                     walk_pin::dst_tcp(world.cone_ips(in.domain).back())});
+    walks.push_back({in.domain, in.port,
+                     walk_pin::dst_tcp(walk_pin::foreign_ip(world,
+                                                            in.domain))});
+  }
+  for (std::size_t d = 0; d < world.domain_count(); ++d) {
+    const PortRef host_port = world.domain(d).rvaas().engine().topology()
+                                  .host_ports(world.domain_hosts(d).front())
+                                  .front();
+    walks.push_back({d, host_port, sdn::Match(), d % 2 == 0 ? 8u : 2u});
+  }
+
+  util::ByteWriter baseline;
+  walk_pin::record(world, walks, baseline);
+
+  // Route-origin hijack at the first transit ingress.
+  util::ByteWriter hijacked;
+  {
+    const auto& in = transit.front();
+    workload::ScenarioRuntime& rt = world.domain(in.domain);
+    attacks::RouteOriginHijackAttack hijack(
+        walk_pin::foreign_ip(world, in.domain), in.port,
+        world.domain_hosts(in.domain).front());
+    ASSERT_TRUE(hijack.launch(rt.provider(), rt.network()).has_value());
+    rt.settle();
+    walk_pin::record(world, walks, hijacked);
+    hijack.revert(rt.provider(), rt.network());
+    rt.settle();
+  }
+
+  // Route leak between the first pair of transit ingresses of one domain
+  // that the baseline routing connects.
+  util::ByteWriter leaked;
+  bool leak_launched = false;
+  for (std::size_t i = 0; i < transit.size() && !leak_launched; ++i) {
+    for (std::size_t j = 0; j < transit.size() && !leak_launched; ++j) {
+      if (i == j || transit[i].domain != transit[j].domain) continue;
+      const std::size_t d = transit[i].domain;
+      workload::ScenarioRuntime& rt = world.domain(d);
+      attacks::RouteLeakAttack leak(transit[i].port, transit[j].port,
+                                    walk_pin::foreign_ip(world, d));
+      if (!leak.launch(rt.provider(), rt.network())) continue;
+      leak_launched = true;
+      rt.settle();
+      walk_pin::record(world, walks, leaked);
+      leak.revert(rt.provider(), rt.network());
+      rt.settle();
+    }
+  }
+  ASSERT_TRUE(leak_launched);
+
+  EXPECT_EQ(walk_pin::digest(baseline),
+            "7801f91f099c5b50038793169d178a54de1a82376ce136389cddb76d7b8ffb2c");
+  EXPECT_EQ(walk_pin::digest(hijacked),
+            "68711d77dbaba6ddd558020c6161c6fbc31b5afb612ab87eda4ef847b7963711");
+  EXPECT_EQ(walk_pin::digest(leaked),
+            "7cb0bd38db58f4094011f7730fd64fe9a85198ca7b99f9c8536de232881b8fe2");
 }
 
 TEST(Federation, DuplicateDomainRejected) {

@@ -261,7 +261,7 @@ TEST(ReachCache, CachedAnswersStayByteIdenticalAcrossChurn) {
       }
     }
 
-    QueryEngine::BatchContext ctx;
+    QueryEngine::EvalContext ctx;
     ctx.from = access_points[rng.below(access_points.size())];
     Query query;
     query.kind = rng.below(2) == 0 ? QueryKind::ReachableEndpoints
@@ -332,7 +332,7 @@ TEST(ReachCache, ReachAllWarmsTheQueryPaths) {
 
   // A ReachingSources query traverses from EVERY access point — after the
   // sweep, all of them are warm.
-  QueryEngine::BatchContext ctx;
+  QueryEngine::EvalContext ctx;
   ctx.from = access_points.front();
   Query query;
   query.kind = QueryKind::ReachingSources;
