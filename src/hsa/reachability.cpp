@@ -55,16 +55,16 @@ std::vector<SwitchId> ReachabilityResult::traversed_switches() const {
   return out;
 }
 
-bool ReachabilityResult::depends_on(std::span<const SwitchId> dirty) const {
+bool shares_switch(std::span<const SwitchId> a, std::span<const SwitchId> b) {
   // Both sides sorted: a two-pointer sweep finds any common switch.
-  auto a = footprint.begin();
-  auto b = dirty.begin();
-  while (a != footprint.end() && b != dirty.end()) {
-    if (*a == *b) return true;
-    if (*a < *b) {
-      ++a;
+  auto ia = a.begin();
+  auto ib = b.begin();
+  while (ia != a.end() && ib != b.end()) {
+    if (*ia == *ib) return true;
+    if (*ia < *ib) {
+      ++ia;
     } else {
-      ++b;
+      ++ib;
     }
   }
   return false;

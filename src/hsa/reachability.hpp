@@ -47,6 +47,10 @@ struct LoopFinding {
   bool operator==(const LoopFinding&) const = default;
 };
 
+/// true iff two sorted switch lists share a switch (one two-pointer walk).
+bool shares_switch(std::span<const sdn::SwitchId> a,
+                   std::span<const sdn::SwitchId> b);
+
 struct ReachabilityResult {
   std::vector<ReachedEndpoint> endpoints;
   std::vector<ControllerHit> controller_hits;
@@ -68,7 +72,9 @@ struct ReachabilityResult {
   std::vector<sdn::SwitchId> traversed_switches() const;
 
   /// true iff the sorted footprint shares a switch with `dirty` (sorted).
-  bool depends_on(std::span<const sdn::SwitchId> dirty) const;
+  bool depends_on(std::span<const sdn::SwitchId> dirty) const {
+    return shares_switch(footprint, dirty);
+  }
 
   bool operator==(const ReachabilityResult&) const = default;
 };

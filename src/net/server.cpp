@@ -190,7 +190,7 @@ struct WireServer::IoThread {
 
   std::mutex mu;
   std::vector<Outbound> mailbox;
-  std::vector<int> adopt_fds;
+  std::vector<std::pair<int, std::uint64_t>> adopt_fds;  ///< fd, conn id
   bool stop = false;
 
   // Owned exclusively by this thread's loop:
@@ -270,28 +270,6 @@ void WireServer::stop() {
   io_threads_.clear();
   ::close(listen_fd_);
   listen_fd_ = -1;
-}
-
-WireServer::Stats WireServer::stats() const {
-  Stats s;
-  s.connections_accepted = stats_.connections_accepted.load();
-  s.connections_closed = stats_.connections_closed.load();
-  s.bytes_in = stats_.bytes_in.load();
-  s.bytes_out = stats_.bytes_out.load();
-  s.frames_in = stats_.frames_in.load();
-  s.frames_out = stats_.frames_out.load();
-  s.flushes = stats_.flushes.load();
-  s.bad_frames = stats_.bad_frames.load();
-  s.bad_hellos = stats_.bad_hellos.load();
-  s.bad_envelopes = stats_.bad_envelopes.load();
-  s.requests_in = stats_.requests_in.load();
-  s.subscribes_in = stats_.subscribes_in.load();
-  s.auth_replies_in = stats_.auth_replies_in.load();
-  s.replies_out = stats_.replies_out.load();
-  s.notifications_out = stats_.notifications_out.load();
-  s.auth_requests_out = stats_.auth_requests_out.load();
-  s.evictions = stats_.evictions.load();
-  return s;
 }
 
 // --- WireTransport (service thread) ---
@@ -389,31 +367,26 @@ void WireServer::accept_ready(IoThread& t) {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     ++stats_.connections_accepted;
-    // Shard by connection id; hand the fd to the owning thread's loop.
+    // Shard by connection id (outbound routing uses the same id % threads);
+    // hand the fd and its id to the owning thread's loop.
     const std::uint64_t id = next_conn_id_.fetch_add(1);
     IoThread& target = *io_threads_[id % io_threads_.size()];
     if (&target == &t) {
-      adopt(t, fd);
+      adopt(t, fd, id);
     } else {
       {
         std::lock_guard<std::mutex> lock(target.mu);
-        target.adopt_fds.push_back(fd);
+        target.adopt_fds.emplace_back(fd, id);
       }
       target.wakeup.notify();
     }
   }
 }
 
-void WireServer::adopt(IoThread& t, int fd) {
+void WireServer::adopt(IoThread& t, int fd, std::uint64_t id) {
   auto conn = std::make_unique<Connection>();
   conn->fd = fd;
-  // Outbound routing shards by id (conn % threads), so the id must land on
-  // this thread's shard.
-  const std::size_t n = io_threads_.size();
-  std::uint64_t id = next_conn_id_.fetch_add(1);
-  while (id % n != t.index) id = next_conn_id_.fetch_add(1);
   conn->id = id;
-  conn->decoder = FrameDecoder(config_.max_frame);
   t.fd_of[id] = fd;
   t.poller.add(fd, /*write=*/false);
   t.conns.emplace(fd, std::move(conn));
@@ -421,13 +394,13 @@ void WireServer::adopt(IoThread& t, int fd) {
 
 void WireServer::process_mailbox(IoThread& t) {
   std::vector<Outbound> mail;
-  std::vector<int> adopts;
+  std::vector<std::pair<int, std::uint64_t>> adopts;
   {
     std::lock_guard<std::mutex> lock(t.mu);
     mail.swap(t.mailbox);
     adopts.swap(t.adopt_fds);
   }
-  for (const int fd : adopts) adopt(t, fd);
+  for (const auto& [fd, id] : adopts) adopt(t, fd, id);
   for (Outbound& out : mail) {
     const auto fd_it = t.fd_of.find(out.conn);
     if (fd_it == t.fd_of.end()) continue;  // connection died in the meantime

@@ -40,9 +40,30 @@ struct WireServerConfig {
   /// 0 = ephemeral; read the bound port back via port() after start().
   std::uint16_t port = 0;
   std::size_t io_threads = 1;
-  /// Inbound frame bound (a length claim above this closes the connection
-  /// before any allocation).
-  std::size_t max_frame = kMaxFrameBytes;
+};
+
+/// A statistics counter bumped from several threads: relaxed atomic
+/// increments, copyable (the copy is a snapshot) and read as its count.
+class RelaxedCounter {
+ public:
+  RelaxedCounter() = default;
+  RelaxedCounter(const RelaxedCounter& other) : value_(other) {}
+  RelaxedCounter& operator=(const RelaxedCounter& other) {
+    value_.store(other, std::memory_order_relaxed);
+    return *this;
+  }
+
+  operator std::uint64_t() const {
+    return value_.load(std::memory_order_relaxed);
+  }
+  RelaxedCounter& operator++() { return *this += 1; }
+  RelaxedCounter& operator+=(std::uint64_t n) {
+    value_.fetch_add(n, std::memory_order_relaxed);
+    return *this;
+  }
+
+ private:
+  std::atomic<std::uint64_t> value_{0};
 };
 
 class WireServer : public core::RvaasController::WireTransport {
@@ -69,27 +90,28 @@ class WireServer : public core::RvaasController::WireTransport {
   std::uint16_t port() const { return port_; }
   const SessionTable& sessions() const { return sessions_; }
 
+  /// Bumped by the I/O threads; stats() copies a snapshot.
   struct Stats {
-    std::uint64_t connections_accepted = 0;
-    std::uint64_t connections_closed = 0;
-    std::uint64_t bytes_in = 0;
-    std::uint64_t bytes_out = 0;
-    std::uint64_t frames_in = 0;
-    std::uint64_t frames_out = 0;
-    std::uint64_t flushes = 0;        ///< writev calls (batching ratio =
-                                      ///< frames_out / flushes)
-    std::uint64_t bad_frames = 0;     ///< poisoned streams + undecodable
-    std::uint64_t bad_hellos = 0;
-    std::uint64_t bad_envelopes = 0;  ///< open/verify failures on I/O threads
-    std::uint64_t requests_in = 0;
-    std::uint64_t subscribes_in = 0;
-    std::uint64_t auth_replies_in = 0;
-    std::uint64_t replies_out = 0;
-    std::uint64_t notifications_out = 0;
-    std::uint64_t auth_requests_out = 0;
-    std::uint64_t evictions = 0;
+    RelaxedCounter connections_accepted;
+    RelaxedCounter connections_closed;
+    RelaxedCounter bytes_in;
+    RelaxedCounter bytes_out;
+    RelaxedCounter frames_in;
+    RelaxedCounter frames_out;
+    RelaxedCounter flushes;        ///< writev calls (batching ratio =
+                                   ///< frames_out / flushes)
+    RelaxedCounter bad_frames;     ///< poisoned streams + undecodable
+    RelaxedCounter bad_hellos;
+    RelaxedCounter bad_envelopes;  ///< open/verify failures on I/O threads
+    RelaxedCounter requests_in;
+    RelaxedCounter subscribes_in;
+    RelaxedCounter auth_replies_in;
+    RelaxedCounter replies_out;
+    RelaxedCounter notifications_out;
+    RelaxedCounter auth_requests_out;
+    RelaxedCounter evictions;
   };
-  Stats stats() const;
+  Stats stats() const { return stats_; }
 
   // --- WireTransport (service thread) ---
   bool deliver_reply(sdn::HostId client,
@@ -106,7 +128,7 @@ class WireServer : public core::RvaasController::WireTransport {
 
   void io_run(IoThread& t, bool is_acceptor);
   void accept_ready(IoThread& t);
-  void adopt(IoThread& t, int fd);
+  void adopt(IoThread& t, int fd, std::uint64_t id);
   void process_mailbox(IoThread& t);
   void handle_read(IoThread& t, Connection& conn);
   void handle_frame(IoThread& t, Connection& conn,
@@ -135,26 +157,7 @@ class WireServer : public core::RvaasController::WireTransport {
   /// WELCOME identity fields, fixed at construction (quote() signs once).
   WireWelcome welcome_template_;
 
-  struct AtomicStats {
-    std::atomic<std::uint64_t> connections_accepted{0};
-    std::atomic<std::uint64_t> connections_closed{0};
-    std::atomic<std::uint64_t> bytes_in{0};
-    std::atomic<std::uint64_t> bytes_out{0};
-    std::atomic<std::uint64_t> frames_in{0};
-    std::atomic<std::uint64_t> frames_out{0};
-    std::atomic<std::uint64_t> flushes{0};
-    std::atomic<std::uint64_t> bad_frames{0};
-    std::atomic<std::uint64_t> bad_hellos{0};
-    std::atomic<std::uint64_t> bad_envelopes{0};
-    std::atomic<std::uint64_t> requests_in{0};
-    std::atomic<std::uint64_t> subscribes_in{0};
-    std::atomic<std::uint64_t> auth_replies_in{0};
-    std::atomic<std::uint64_t> replies_out{0};
-    std::atomic<std::uint64_t> notifications_out{0};
-    std::atomic<std::uint64_t> auth_requests_out{0};
-    std::atomic<std::uint64_t> evictions{0};
-  };
-  mutable AtomicStats stats_;
+  Stats stats_;
 };
 
 }  // namespace rvaas::net

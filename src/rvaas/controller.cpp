@@ -50,9 +50,7 @@ RvaasController::RvaasController(sdn::ControllerId id, sdn::Network& net,
       channel_key_(crypto::SigningKey::generate(rng_)),
       engine_(net.topology(),
               EngineConfig{config_.policy, config_.max_reach_depth}),
-      snapshot_(config_.history_limit),
-      monitor_(engine_),
-      monitor_pool_(config_.monitor_threads) {}
+      monitor_(engine_) {}
 
 RvaasController::~RvaasController() { stop(); }
 
@@ -169,7 +167,7 @@ void RvaasController::poll_switch(SwitchId sw, bool is_retry) {
         on_stats_reply(sw, seq, gen, sent, reply);
       });
   channel.deadline = net_->loop().schedule_after(
-      config_.poll_deadline, [this, sw, seq] { on_poll_deadline(sw, seq); });
+      kPollDeadline, [this, sw, seq] { on_poll_deadline(sw, seq); });
 }
 
 void RvaasController::on_stats_reply(SwitchId sw, std::uint64_t seq,
@@ -220,13 +218,13 @@ void RvaasController::on_poll_deadline(SwitchId sw, std::uint64_t seq) {
   ++stats_.poll_deadline_misses;
   if (!health_frozen()) {
     ++channel.consecutive_misses;
-    if (channel.consecutive_misses >= config_.unreachable_after) {
+    if (channel.consecutive_misses >= kUnreachableAfterMisses) {
       if (channel.health != SwitchHealth::Unreachable) {
         channel.health = SwitchHealth::Unreachable;
         ++stats_.unreachable_transitions;
         on_unreachable();
       }
-    } else if (channel.consecutive_misses >= config_.degraded_after &&
+    } else if (channel.consecutive_misses >= kDegradedAfterMisses &&
                channel.health == SwitchHealth::Healthy) {
       channel.health = SwitchHealth::Degraded;
       ++stats_.degraded_transitions;
@@ -246,12 +244,10 @@ void RvaasController::schedule_retry(SwitchId sw) {
     delay = backoff_base_delay(channel.attempt, config_);
     ++channel.attempt;
   }
-  if (config_.retry_jitter_pct > 0) {
-    // Additive jitter decorrelates retry bursts across switches after a
-    // shared partition; drawn from the seeded rng, so still deterministic.
-    const sim::Time span = delay * config_.retry_jitter_pct / 100;
-    if (span > 0) delay += rng_.below(span + 1);
-  }
+  // Additive jitter decorrelates retry bursts across switches after a
+  // shared partition; drawn from the seeded rng, so still deterministic.
+  const sim::Time span = delay * kRetryJitterPct / 100;
+  if (span > 0) delay += rng_.below(span + 1);
   channel.retry_pending = true;
   channel.retry =
       net_->loop().schedule_after(std::max<sim::Time>(delay, 1), [this, sw] {

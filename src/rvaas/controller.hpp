@@ -29,16 +29,12 @@ struct RvaasConfig {
   /// How long to wait for authentication replies before answering.
   sim::Time auth_timeout = 5 * sim::kMillisecond;
   ConfidentialityPolicy policy = ConfidentialityPolicy::EndpointsOnly;
-  std::size_t history_limit = 1 << 16;
   std::size_t max_reach_depth = 64;
   bool enable_link_prober = false;
   sim::Time probe_period = 100 * sim::kMillisecond;
   std::string enclave_name = "rvaas";
   std::string enclave_version = "1.0";
 
-  /// Extra worker threads for the monitor's re-evaluation sweeps (0 = the
-  /// sweep runs inline on the event-loop thread).
-  std::size_t monitor_threads = 0;
   /// Timer-driven full re-verification of every subscription, catching
   /// drift outside the snapshot's change clock (meter updates, auth
   /// responders dying). 0 = disabled; churn-triggered sweeps always run.
@@ -47,25 +43,27 @@ struct RvaasConfig {
   std::size_t max_subscriptions_per_client = 64;
 
   // --- control-channel resilience (fault tolerance, fail-stale) ---
-  /// How long a stats poll may stay unanswered before it counts as a miss.
-  /// The fault-free round-trip is 2 control latencies (~400us default), so
-  /// the default leaves ample margin without slowing fault detection.
-  sim::Time poll_deadline = 2 * sim::kMillisecond;
-  /// Consecutive missed poll deadlines before Healthy -> Degraded.
-  std::uint32_t degraded_after = 1;
-  /// Consecutive missed poll deadlines before -> Unreachable. The circuit
-  /// opens: regular polls skip the switch, a capped-cadence probe keeps
-  /// testing for recovery.
-  std::uint32_t unreachable_after = 3;
   /// Retry backoff after a miss: base * 2^attempt, capped. The cap doubles
   /// as the circuit-breaker probe cadence while a switch is Unreachable.
   sim::Time retry_backoff_base = 1 * sim::kMillisecond;
   sim::Time retry_backoff_cap = 8 * sim::kMillisecond;
-  /// Additive jitter on retry delays, up to this percentage of the delay
-  /// (drawn from the controller's seeded rng: deterministic, but
-  /// decorrelates retry bursts across switches).
-  std::uint32_t retry_jitter_pct = 25;
 };
+
+// --- control-channel health machine timing ---
+/// How long a stats poll may stay unanswered before it counts as a miss.
+/// The fault-free round-trip is 2 control latencies (~400us), so this
+/// leaves ample margin without slowing fault detection.
+inline constexpr sim::Time kPollDeadline = 2 * sim::kMillisecond;
+/// Consecutive missed poll deadlines before Healthy -> Degraded.
+inline constexpr std::uint32_t kDegradedAfterMisses = 1;
+/// Consecutive missed poll deadlines before -> Unreachable. The circuit
+/// opens: regular polls skip the switch, a capped-cadence probe keeps
+/// testing for recovery.
+inline constexpr std::uint32_t kUnreachableAfterMisses = 3;
+/// Additive jitter on retry delays, up to this percentage of the delay
+/// (drawn from the controller's seeded rng: deterministic, but decorrelates
+/// retry bursts across switches).
+inline constexpr std::uint32_t kRetryJitterPct = 25;
 
 class RvaasController : public sdn::Controller {
  public:
@@ -123,8 +121,8 @@ class RvaasController : public sdn::Controller {
   // --- control-channel health (fail-stale degraded operation) ---
 
   /// Per-switch control-channel health as the poll deadline machine sees
-  /// it. Healthy until a deadline miss; Degraded after `degraded_after`
-  /// consecutive misses; Unreachable after `unreachable_after` (circuit
+  /// it. Healthy until a deadline miss; Degraded after kDegradedAfterMisses
+  /// consecutive misses; Unreachable after kUnreachableAfterMisses (circuit
   /// open: regular polls skip the switch, a capped-cadence probe keeps
   /// testing). Any successful reply snaps straight back to Healthy.
   enum class SwitchHealth : std::uint8_t { Healthy, Degraded, Unreachable };
@@ -368,10 +366,11 @@ class RvaasController : public sdn::Controller {
   sim::EventId reverify_timer_{};
   sim::EventId sweep_event_{};
 
-  // Push verification. The monitor holds the subscription registry; the
-  // pool fans its re-evaluation sweeps out (0 extra threads by default).
+  // Push verification. The monitor holds the subscription registry; its
+  // re-evaluation sweeps run inline on the event-loop thread (a zero-worker
+  // pool).
   PropertyMonitor monitor_;
-  util::ThreadPool monitor_pool_;
+  util::ThreadPool monitor_pool_{0};
   bool sweep_scheduled_ = false;
   std::uint64_t last_swept_epoch_ = 0;
   /// Internal request-id space for subscription evaluations; disjoint from

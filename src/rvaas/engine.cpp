@@ -106,13 +106,6 @@ hsa::NetworkModel CompiledModelCache::model(const sdn::Topology& topo,
   return hsa::NetworkModel(topo, transfer_);
 }
 
-void CompiledModelCache::invalidate() {
-  std::lock_guard lock(mu_);
-  transfer_.reset();
-  snapshot_id_ = 0;
-  snapshot_epoch_ = 0;
-}
-
 CompiledModelCache::Stats CompiledModelCache::stats() const {
   std::lock_guard lock(mu_);
   return stats_;
@@ -246,13 +239,6 @@ ReachCache::ResultPtr ReachCache::reach(const hsa::NetworkModel& model,
   ++home.entries;
   ++entry_count_;
   return result;
-}
-
-void ReachCache::invalidate() {
-  std::lock_guard lock(mu_);
-  clear_entries();
-  snapshot_id_ = 0;
-  validated_epoch_ = 0;
 }
 
 std::size_t ReachCache::size() const {

@@ -59,9 +59,6 @@ class CompiledModelCache {
                           const SnapshotManager& snap,
                           util::ThreadPool* pool = nullptr);
 
-  /// Drops all compiled state (the next lookup is a full rebuild).
-  void invalidate();
-
   /// TEST-ONLY fault injection: while enabled, every instance stops
   /// refreshing dirty switches and serves its last compiled model unchanged
   /// — a deliberately broken invalidation path that the differential
@@ -126,9 +123,6 @@ class ReachCache {
   ResultPtr reach(const hsa::NetworkModel& model, const SnapshotManager& snap,
                   sdn::PortRef ingress, const hsa::HeaderSpace& hs,
                   std::size_t max_depth);
-
-  /// Drops every entry.
-  void invalidate();
 
   /// TEST-ONLY fault injection: while enabled, snapshot churn no longer
   /// evicts footprint-dirty entries — stale reachability results survive

@@ -14,22 +14,6 @@ namespace {
 // TEST-ONLY fault switch (see test_fault_freeze_index).
 std::atomic<bool> g_index_frozen{false};
 
-/// Two-pointer intersection test over sorted switch-id vectors.
-bool intersects(const std::vector<SwitchId>& a, const std::vector<SwitchId>& b) {
-  auto ia = a.begin();
-  auto ib = b.begin();
-  while (ia != a.end() && ib != b.end()) {
-    if (*ia < *ib) {
-      ++ia;
-    } else if (*ib < *ia) {
-      ++ib;
-    } else {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool index_frozen() {
   return g_index_frozen.load(std::memory_order_relaxed);
 }
@@ -169,7 +153,9 @@ std::vector<PropertyMonitor::Key> PropertyMonitor::linear_wakeups(
                               snap.dirty_since(sub.evaluated_epoch))
                      .first;
     }
-    if (intersects(sub.footprint, dirty_it->second)) out.push_back(key);
+    if (hsa::shares_switch(sub.footprint, dirty_it->second)) {
+      out.push_back(key);
+    }
   }
   return out;  // subs_ is ordered, so this is ascending Key order
 }
@@ -308,7 +294,7 @@ std::vector<PropertyMonitor::DegradedPush> PropertyMonitor::mark_degraded(
   for (auto& [key, sub] : subs_) {
     if (sub.degraded_notified) continue;  // debt already outstanding
     if (!sub.evaluated) continue;  // no footprint yet; baseline will tell
-    if (!intersects(sub.footprint, unreachable)) continue;
+    if (!hsa::shares_switch(sub.footprint, unreachable)) continue;
     sub.degraded_notified = true;
     ++sub.sequence;
     ++stats_.degraded;

@@ -190,7 +190,7 @@ class PropertyMonitor {
   /// is not already flagged — takes the degraded_notified debt, advances
   /// its sequence, and yields one DegradedPush. O(subs) linear scan:
   /// unreachable transitions are rare by construction (they need
-  /// `unreachable_after` consecutive missed deadlines).
+  /// kUnreachableAfterMisses consecutive missed deadlines).
   std::vector<DegradedPush> mark_degraded(
       const std::vector<sdn::SwitchId>& unreachable);
 

@@ -136,14 +136,14 @@ const FlowEntry* SnapshotManager::find_entry(sdn::SwitchId sw,
 }
 
 std::uint64_t SnapshotManager::table_epoch(sdn::SwitchId sw) const {
-  const auto it = table_epochs_.find(sw);
-  return it == table_epochs_.end() ? 0 : it->second;
+  const auto it = table_changed_at_.find(sw);
+  return it == table_changed_at_.end() ? 0 : it->second;
 }
 
 std::vector<sdn::SwitchId> SnapshotManager::dirty_since(
     std::uint64_t since) const {
   std::vector<sdn::SwitchId> out;
-  for (const auto& [sw, e] : table_epochs_) {
+  for (const auto& [sw, e] : table_changed_at_) {
     if (e > since) out.push_back(sw);
   }
   return out;

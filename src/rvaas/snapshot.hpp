@@ -81,11 +81,6 @@ class SnapshotManager {
   /// Epoch at which `sw`'s table content last changed (0 = never changed).
   std::uint64_t table_epoch(sdn::SwitchId sw) const;
 
-  /// The per-switch change clocks backing the dirty set.
-  const std::map<sdn::SwitchId, std::uint64_t>& table_epochs() const {
-    return table_epochs_;
-  }
-
   /// The dirty set relative to `since`: switches whose table content changed
   /// after epoch `since` — exactly what a consumer that compiled at epoch
   /// `since` must recompile. Sorted ascending.
@@ -176,7 +171,7 @@ class SnapshotManager {
   void record(sim::Time t, sdn::SwitchId sw, sdn::FlowUpdateKind kind,
               const sdn::FlowEntry& entry);
   /// Marks `sw`'s table content as changed now.
-  void bump(sdn::SwitchId sw) { table_epochs_[sw] = ++epoch_; }
+  void bump(sdn::SwitchId sw) { table_changed_at_[sw] = ++epoch_; }
 
   std::map<sdn::SwitchId, std::map<sdn::FlowEntryId, sdn::FlowEntry>> tables_;
   std::map<sdn::SwitchId,
@@ -188,7 +183,8 @@ class SnapshotManager {
   std::uint64_t events_applied_ = 0;
   std::uint64_t polls_applied_ = 0;
   std::uint64_t epoch_ = 0;
-  std::map<sdn::SwitchId, std::uint64_t> table_epochs_;
+  /// Per-switch change clock: the epoch of each table's last change.
+  std::map<sdn::SwitchId, std::uint64_t> table_changed_at_;
   std::map<sdn::SwitchId, sim::Time> last_confirmed_;
   InstanceId instance_id_;
 };

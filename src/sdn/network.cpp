@@ -27,8 +27,8 @@ std::vector<SwitchId> Trajectory::traversed_switches() const {
   return {seen.begin(), seen.end()};
 }
 
-Network::Network(sim::EventLoop& loop, Topology topology, NetworkConfig config)
-    : loop_(loop), topo_(std::move(topology)), config_(config) {
+Network::Network(sim::EventLoop& loop, Topology topology)
+    : loop_(loop), topo_(std::move(topology)) {
   for (const SwitchId id : topo_.switches()) {
     switches_[id] = std::make_unique<SwitchSim>(id, topo_.num_ports(id));
   }
@@ -62,15 +62,9 @@ void Network::authorize_controller_key(SwitchId sw, const crypto::KeyId& key) {
 
 Network::ControllerHandle& Network::attach_controller(
     Controller& controller, const crypto::SigningKey& key) {
-  return attach_controller(controller, key, config_.control_latency);
-}
-
-Network::ControllerHandle& Network::attach_controller(
-    Controller& controller, const crypto::SigningKey& key, sim::Time latency) {
   auto slot = std::make_unique<ControllerSlot>();
   slot->controller = &controller;
-  slot->latency = latency;
-  slot->handle.reset(new ControllerHandle(*this, controller.id(), latency));
+  slot->handle.reset(new ControllerHandle(*this, controller.id()));
 
   // Signed challenge handshake against every switch.
   for (const SwitchId sw : topo_.switches()) {
@@ -120,7 +114,6 @@ void Network::ControllerHandle::flow_mod(SwitchId sw, const FlowMod& mod,
   ++net_->counters_.flow_mods;
   Network& net = *net_;
   const ControllerId id = id_;
-  const sim::Time lat = latency_;
   FaultPlane* fp = net.fault_plane_for(id_);
   // State-changing messages are dropped/delayed but never duplicated: a
   // re-applied Add would fork the data plane away from ground truth.
@@ -129,16 +122,16 @@ void Network::ControllerHandle::flow_mod(SwitchId sw, const FlowMod& mod,
          : FaultPlane::Delivery{};
   if (req.drop) return;
   const std::uint64_t gen = fp ? fp->agent_generation(sw) : 0;
-  net.loop_.schedule_after(lat + req.extra_delay, [&net, id, sw, mod, cb, lat,
-                                                   fp, gen] {
+  net.loop_.schedule_after(kControlLatency + req.extra_delay,
+                           [&net, id, sw, mod, cb, fp, gen] {
     const FlowModResult result = net.switch_sim(sw).apply_flow_mod(id, mod);
     if (cb) {
       const FaultPlane::Delivery rep =
           fp ? fp->apply(sw, FaultDirection::FromSwitch, net.loop_.now())
              : FaultPlane::Delivery{};
       if (rep.drop) return;
-      net.loop_.schedule_after(lat + rep.extra_delay, [cb, sw, result, fp,
-                                                       gen] {
+      net.loop_.schedule_after(kControlLatency + rep.extra_delay,
+                               [cb, sw, result, fp, gen] {
         // A crashed/restarted control agent voids replies it never sent.
         if (fp && fp->agent_generation(sw) != gen) return;
         cb(sw, result);
@@ -157,22 +150,23 @@ void Network::ControllerHandle::meter_mod(SwitchId sw, const MeterMod& mod) {
       fp ? fp->apply(sw, FaultDirection::ToSwitch, net.loop_.now())
          : FaultPlane::Delivery{};
   if (req.drop) return;
-  net.loop_.schedule_after(latency_ + req.extra_delay, [&net, id, sw, mod] {
-    net.switch_sim(sw).apply_meter_mod(id, mod);
-  });
+  net.loop_.schedule_after(kControlLatency + req.extra_delay,
+                           [&net, id, sw, mod] {
+                             net.switch_sim(sw).apply_meter_mod(id, mod);
+                           });
 }
 
 void Network::ControllerHandle::packet_out(const PacketOut& msg) {
   util::ensure(connected(msg.sw), "controller has no channel to switch");
   ++net_->counters_.packet_outs;
   Network& net = *net_;
-  net.loop_.schedule_after(latency_, [&net, msg] {
+  net.loop_.schedule_after(kControlLatency, [&net, msg] {
     // Packet-out runs the action list directly; in_port is the virtual
     // controller port (we use the max port number + 1).
     const PortNo ctrl_port(net.switch_sim(msg.sw).num_ports());
     const PipelineOutput out = net.switch_sim(msg.sw).run_actions(
         msg.actions, ctrl_port, msg.packet, /*cookie=*/0);
-    net.route_outputs(msg.sw, out, net.config_.max_hops);
+    net.route_outputs(msg.sw, out, kMaxHops);
   });
 }
 
@@ -188,14 +182,13 @@ void Network::ControllerHandle::request_stats(SwitchId sw, StatsCallback cb) {
   util::ensure(static_cast<bool>(cb), "stats request needs a callback");
   ++net_->counters_.stats_requests;
   Network& net = *net_;
-  const sim::Time lat = latency_;
   FaultPlane* fp = net.fault_plane_for(id_);
   const FaultPlane::Delivery req =
       fp ? fp->apply(sw, FaultDirection::ToSwitch, net.loop_.now())
          : FaultPlane::Delivery{};
   if (req.drop) return;
   const std::uint64_t gen = fp ? fp->agent_generation(sw) : 0;
-  const auto serve = [&net, sw, cb, lat, fp, gen] {
+  const auto serve = [&net, sw, cb, fp, gen] {
     const StatsReply reply = net.switch_sim(sw).stats();
     const FaultPlane::Delivery rep =
         fp ? fp->apply(sw, FaultDirection::FromSwitch, net.loop_.now())
@@ -206,16 +199,18 @@ void Network::ControllerHandle::request_stats(SwitchId sw, StatsCallback cb) {
       if (fp && fp->agent_generation(sw) != gen) return;
       cb(reply);
     };
-    net.loop_.schedule_after(lat + rep.extra_delay, deliver);
+    net.loop_.schedule_after(kControlLatency + rep.extra_delay, deliver);
     if (rep.duplicate) {
-      net.loop_.schedule_after(lat + rep.extra_delay + kDuplicateGap, deliver);
+      net.loop_.schedule_after(
+          kControlLatency + rep.extra_delay + kDuplicateGap, deliver);
     }
   };
-  net.loop_.schedule_after(lat + req.extra_delay, serve);
+  net.loop_.schedule_after(kControlLatency + req.extra_delay, serve);
   // A duplicated request produces a second, later reply; reconciles are
   // idempotent so only the extra traffic is observable.
   if (req.duplicate) {
-    net.loop_.schedule_after(lat + req.extra_delay + kDuplicateGap, serve);
+    net.loop_.schedule_after(
+        kControlLatency + req.extra_delay + kDuplicateGap, serve);
   }
 }
 
@@ -224,9 +219,8 @@ void Network::ControllerHandle::subscribe_flow_monitor(SwitchId sw) {
   Network& net = *net_;
   Controller* controller = net.slot_of(id_).controller;
   const ControllerId id = id_;
-  const sim::Time lat = latency_;
   net.switch_sim(sw).subscribe_monitor(
-      id_, [&net, controller, id, sw, lat](const FlowUpdate& update) {
+      id_, [&net, controller, id, sw](const FlowUpdate& update) {
         ++net.counters_.flow_update_events;
         FaultPlane* fp = net.fault_plane_for(id);
         const FaultPlane::Delivery d =
@@ -236,10 +230,10 @@ void Network::ControllerHandle::subscribe_flow_monitor(SwitchId sw) {
         const auto deliver = [controller, update] {
           controller->on_flow_update(update);
         };
-        net.loop_.schedule_after(lat + d.extra_delay, deliver);
+        net.loop_.schedule_after(kControlLatency + d.extra_delay, deliver);
         if (d.duplicate) {
-          net.loop_.schedule_after(lat + d.extra_delay + kDuplicateGap,
-                                   deliver);
+          net.loop_.schedule_after(
+              kControlLatency + d.extra_delay + kDuplicateGap, deliver);
         }
       });
 }
@@ -257,7 +251,7 @@ void Network::host_send(HostId host, PortRef access_point,
                "host is not attached at this access point");
   const sim::Time lat = topo_.host_latency(access_point);
   loop_.schedule_after(lat, [this, access_point, packet] {
-    deliver_to_switch(access_point, packet, config_.max_hops);
+    deliver_to_switch(access_point, packet, kMaxHops);
   });
 }
 
@@ -269,10 +263,9 @@ void Network::deliver_to_switch(PortRef in, Packet packet,
     ++counters_.loop_drops;
     return;
   }
-  loop_.schedule_after(config_.switch_proc_delay, [this, in, packet,
-                                                   hops_left] {
+  loop_.schedule_after(kSwitchProcDelay, [this, in, packet, hops_left] {
     const PipelineOutput out = switch_sim(in.sw).process(
-        in.port, packet, loop_.now(), config_.enforce_meters);
+        in.port, packet, loop_.now(), /*enforce_meters=*/true);
     if (out.table_miss) ++counters_.table_miss_drops;
     if (out.metered_drop) ++counters_.metered_drops;
     if (out.ttl_expired) ++counters_.ttl_drops;
@@ -317,7 +310,7 @@ void Network::dispatch_punt(const PacketIn& punt) {
     if (it == slot->authenticated.end() || !it->second) continue;
     ++counters_.packet_ins;
     Controller* controller = slot->controller;
-    loop_.schedule_after(slot->latency, [controller, punt] {
+    loop_.schedule_after(kControlLatency, [controller, punt] {
       controller->on_packet_in(punt);
     });
   }
@@ -325,8 +318,7 @@ void Network::dispatch_punt(const PacketIn& punt) {
 
 // --- functional ground truth ---
 
-Trajectory Network::trace(PortRef ingress, const Packet& packet,
-                          std::size_t max_hops) {
+Trajectory Network::trace(PortRef ingress, const Packet& packet) {
   util::ensure(topo_.valid_port(ingress), "bad ingress port");
   Trajectory result;
 
@@ -346,7 +338,7 @@ Trajectory Network::trace(PortRef ingress, const Packet& packet,
     WorkItem item = std::move(queue.front());
     queue.pop_front();
 
-    if (result.hop_count >= max_hops) {
+    if (result.hop_count >= kMaxHops) {
       result.loop_detected = true;
       break;
     }
@@ -380,11 +372,10 @@ Trajectory Network::trace(PortRef ingress, const Packet& packet,
   return result;
 }
 
-Trajectory Network::trace_from_host(HostId host, const Packet& packet,
-                                    std::size_t max_hops) {
+Trajectory Network::trace_from_host(HostId host, const Packet& packet) {
   const auto ports = topo_.host_ports(host);
   util::ensure(!ports.empty(), "host has no access point");
-  return trace(ports.front(), packet, max_hops);
+  return trace(ports.front(), packet);
 }
 
 }  // namespace rvaas::sdn

@@ -24,12 +24,12 @@
 
 namespace rvaas::sdn {
 
-struct NetworkConfig {
-  sim::Time switch_proc_delay = 2 * sim::kMicrosecond;
-  sim::Time control_latency = 200 * sim::kMicrosecond;  ///< per direction
-  bool enforce_meters = true;  ///< event-driven path only
-  std::size_t max_hops = 256;  ///< event-driven loop guard per packet
-};
+/// Pipeline processing time of one switch hop (event-driven path).
+inline constexpr sim::Time kSwitchProcDelay = 2 * sim::kMicrosecond;
+/// One-way latency of every controller channel.
+inline constexpr sim::Time kControlLatency = 200 * sim::kMicrosecond;
+/// Loop guard: switch hops one packet may take, event-driven or traced.
+inline constexpr std::size_t kMaxHops = 256;
 
 /// One switch-local step of a packet's walk through the network.
 struct TrajectoryHop {
@@ -63,14 +63,13 @@ struct Trajectory {
 
 class Network {
  public:
-  Network(sim::EventLoop& loop, Topology topology, NetworkConfig config = {});
+  Network(sim::EventLoop& loop, Topology topology);
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
   const Topology& topology() const { return topo_; }
   sim::EventLoop& loop() { return loop_; }
-  const NetworkConfig& config() const { return config_; }
 
   SwitchSim& switch_sim(SwitchId id);
   const SwitchSim& switch_sim(SwitchId id) const;
@@ -100,21 +99,16 @@ class Network {
 
    private:
     friend class Network;
-    ControllerHandle(Network& net, ControllerId id, sim::Time latency)
-        : net_(&net), id_(id), latency_(latency) {}
+    ControllerHandle(Network& net, ControllerId id) : net_(&net), id_(id) {}
 
     Network* net_;
     ControllerId id_;
-    sim::Time latency_;
   };
 
   /// Attaches a controller; performs the signed handshake against every
   /// switch. Switches where the key is not authorized refuse the channel.
   ControllerHandle& attach_controller(Controller& controller,
                                       const crypto::SigningKey& key);
-  ControllerHandle& attach_controller(Controller& controller,
-                                      const crypto::SigningKey& key,
-                                      sim::Time latency);
 
   // --- host side ---
 
@@ -130,12 +124,10 @@ class Network {
 
   /// Walks a packet injected at `ingress` (a switch in-port) through the
   /// data plane instantly. Does not consume meter tokens.
-  Trajectory trace(PortRef ingress, const Packet& packet,
-                   std::size_t max_hops = 256);
+  Trajectory trace(PortRef ingress, const Packet& packet);
 
   /// Convenience: trace from a host's access point.
-  Trajectory trace_from_host(HostId host, const Packet& packet,
-                             std::size_t max_hops = 256);
+  Trajectory trace_from_host(HostId host, const Packet& packet);
 
   // --- observability ---
 
@@ -171,7 +163,6 @@ class Network {
  private:
   struct ControllerSlot {
     Controller* controller = nullptr;
-    sim::Time latency = 0;
     std::map<SwitchId, bool> authenticated;
     std::unique_ptr<ControllerHandle> handle;
   };
@@ -191,7 +182,6 @@ class Network {
 
   sim::EventLoop& loop_;
   Topology topo_;
-  NetworkConfig config_;
   std::map<SwitchId, std::unique_ptr<SwitchSim>> switches_;
   std::map<SwitchId, std::vector<crypto::KeyId>> authorized_keys_;
   std::map<HostId, std::vector<HostReceiver>> receivers_;

@@ -59,7 +59,7 @@ constexpr std::size_t kMaxTrackedSubs = 3;
 
 /// Honesty bound for oracle (f): a switch hard-faulted (100% drop or
 /// partitioned) continuously for this long must not read Healthy. With
-/// fixed 20 ms polling, a 2 ms deadline and degraded_after = 1, the first
+/// fixed 20 ms polling, a 2 ms deadline and one miss to Degraded, the first
 /// missed deadline lands within ~22 ms of the fault in the worst case
 /// (fault right after a poll round); 30 ms leaves margin for retry jitter.
 constexpr sim::Time kHonestyBound = 30 * sim::kMillisecond;

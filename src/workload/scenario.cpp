@@ -20,8 +20,7 @@ ScenarioRuntime::ScenarioRuntime(ScenarioConfig config)
       rng_(config_.seed),
       provider_key_(make_key(config_.seed)) {
   ias_ = std::make_unique<enclave::AttestationService>(rng_);
-  net_ = std::make_unique<sdn::Network>(loop_, config_.generated.topo,
-                                        config_.net);
+  net_ = std::make_unique<sdn::Network>(loop_, config_.generated.topo);
 
   // Provider configuration: tenants round-robin, addressing for all hosts.
   control::ProviderConfig pconfig;

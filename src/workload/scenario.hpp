@@ -18,7 +18,6 @@ struct ScenarioConfig {
   /// Hosts are split round-robin over this many tenants (VLANs 100+i).
   std::size_t tenant_count = 1;
   core::RvaasConfig rvaas;
-  sdn::NetworkConfig net;
   std::uint64_t seed = 1;
   /// Install a DisclosedGeo provider (truth) by default.
   bool with_geo = true;

@@ -12,11 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 
+#include "crypto/sha256.hpp"
 #include "sdn/fault_plane.hpp"
 #include "testing/fuzzer.hpp"
 #include "testing/shrink.hpp"
+#include "util/hex.hpp"
 #include "workload/scenario.hpp"
 
 namespace rvaas::workload {
@@ -159,6 +162,65 @@ TEST(Faults, HealthMachineDegradesAndRecovers) {
   EXPECT_GE(runtime.rvaas().stats().health_recoveries, 1u);
   EXPECT_FALSE(runtime.rvaas().freshness_for(switches).degraded());
   EXPECT_TRUE(runtime.rvaas().unreachable_switches().empty());
+}
+
+// Pins the control-channel timing end to end: the poll deadline, the
+// health thresholds, the retry jitter and the control latency all shape the
+// fault trace, the resilience counters and the sim time of every health
+// transition. Any drift in one of them changes the digest.
+TEST(Faults, ControlChannelTimingPinned) {
+  FaultPlane plane(0x71e5);
+  plane.enable_trace(true);
+  ScenarioRuntime runtime(fault_config());
+  attach(runtime, plane);
+  const auto switches = runtime.network().topology().switches();
+  const SwitchId dark = switches[1];
+
+  std::string transitions;
+  std::map<SwitchId, RvaasController::SwitchHealth> last;
+  for (const SwitchId sw : switches) {
+    last[sw] = runtime.rvaas().switch_health(sw);
+  }
+  const auto sample = [&](sim::Time span) {
+    for (sim::Time t = 0; t < span; t += kMs) {
+      runtime.settle(kMs);
+      for (const SwitchId sw : switches) {
+        const auto health = runtime.rvaas().switch_health(sw);
+        if (health == last[sw]) continue;
+        last[sw] = health;
+        transitions += std::to_string(runtime.loop().now()) + " " +
+                       std::to_string(sw.value) + " " +
+                       std::to_string(static_cast<int>(health)) + "\n";
+      }
+    }
+  };
+
+  plane.set_fault(dark, FaultDirection::ToSwitch, blackhole());
+  plane.set_fault(dark, FaultDirection::FromSwitch, blackhole());
+  sample(60 * kMs);
+  plane.heal_all();
+  sample(60 * kMs);
+
+  const auto& s = runtime.rvaas().stats();
+  std::string counters;
+  for (const std::uint64_t v :
+       {s.poll_deadline_misses, s.poll_retries, s.polls_gated,
+        s.stale_polls_discarded, s.degraded_transitions,
+        s.unreachable_transitions, s.health_recoveries,
+        s.degraded_notifications}) {
+    counters += std::to_string(v) + " ";
+  }
+  // Sanity: the run did walk the whole machine and back.
+  EXPECT_GE(s.unreachable_transitions, 1u);
+  EXPECT_GE(s.health_recoveries, 1u);
+
+  const util::Bytes trace = plane.trace_bytes();
+  ASSERT_FALSE(trace.empty());
+  crypto::Sha256 h;
+  h.update(trace).update(counters).update(transitions);
+  EXPECT_EQ(util::to_hex(h.finalize()),
+            "e90f39efdaed9fc8b3115ee7e81315d120d44b82b37a58fa63236485065ad242")
+      << "counters: " << counters << "\ntransitions:\n" << transitions;
 }
 
 // --- degraded replies across every query kind -------------------------------

@@ -372,6 +372,25 @@ TEST(WireServer, StopWithLiveConnectionsIsSafe) {
   world.service->stop();
 }
 
+// The acceptor draws one id per connection and it picks the owning I/O
+// thread; the connection keeps that id, so sequential connects own 1..N
+// whatever the thread count.
+TEST(WireServer, ConnectionIdsDrawnOncePerAccept) {
+  constexpr std::size_t kClients = 5;
+  WireWorld world = make_wire_world(/*seed=*/59, /*wire_slots=*/kClients,
+                                    /*io_threads=*/3);
+  std::vector<std::unique_ptr<WireClient>> clients;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    const HostId host = world.wire_hosts[i];
+    clients.push_back(connect_client(world, host, 0x1d00 + i));
+    EXPECT_EQ(world.server->sessions().owner_of_host(host),
+              std::optional<std::uint64_t>(i + 1));
+  }
+  for (auto& client : clients) client->close();
+  world.server->stop();
+  world.service->stop();
+}
+
 TEST(WireClient, SubscribeBeforeConnectThrows) {
   // No session, so no pinned service keys: subscribing must fail loudly with
   // the trust precondition, never seal to an empty key.

@@ -271,7 +271,7 @@ TEST(NetworkEventDriven, FlowModResultRoundTrip) {
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(got->ok());
   // Round trip = 2 * control latency.
-  EXPECT_EQ(reply_time - start, 2 * f.net->config().control_latency);
+  EXPECT_EQ(reply_time - start, 2 * sdn::kControlLatency);
 }
 
 TEST(NetworkEventDriven, StatsRequestReturnsDump) {
