@@ -70,9 +70,6 @@ class ProviderController : public sdn::Controller {
       sdn::HostId src, sdn::HostId dst) const;
 
  private:
-  void install_route(const TenantSpec& tenant, sdn::HostId src,
-                     sdn::HostId dst);
-
   sdn::ControllerId id_;
   ProviderConfig config_;
   util::Rng rng_;

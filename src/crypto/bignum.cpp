@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 
 #include "util/ensure.hpp"
 #include "util/hex.hpp"
@@ -365,23 +366,53 @@ int BigUInt::jacobi(const BigUInt& a, const BigUInt& n) {
   // the factors of two from x ((2 | y) = -1 iff y = 3, 5 mod 8), orders the
   // pair so x >= y (quadratic reciprocity flips the sign iff both are
   // 3 mod 4), then replaces x by x - y, which leaves (x | y) unchanged.
-  BigUInt x = a.mod(n);
-  BigUInt y = n;
-  int sign = 1;
-  while (!x.is_zero()) {
-    std::size_t twos = 0;
-    while (!x.bit(twos)) ++twos;
-    const std::uint32_t y_mod8 = y.limbs_[0] & 7;
-    if (twos % 2 == 1 && (y_mod8 == 3 || y_mod8 == 5)) sign = -sign;
-    x = x.shift_right(twos);
-    if (x < y) {
-      std::swap(x, y);
-      if ((x.limbs_[0] & 3) == 3 && (y.limbs_[0] & 3) == 3) sign = -sign;
+  // x and y live in two fixed-width limb buffers, updated in place.
+  const std::size_t width = n.limbs_.size();
+  std::vector<std::uint32_t> x = a.mod(n).limbs_;
+  std::vector<std::uint32_t> y = n.limbs_;
+  x.resize(width, 0);
+  // true iff every limb of v from index `from` up is zero.
+  const auto zero_from = [](const std::vector<std::uint32_t>& v,
+                            std::size_t from) {
+    return std::all_of(v.begin() + static_cast<long>(from), v.end(),
+                       [](std::uint32_t limb) { return limb == 0; });
+  };
+  const auto below = [width](const std::vector<std::uint32_t>& u,
+                            const std::vector<std::uint32_t>& v) {
+    for (std::size_t i = width; i-- > 0;) {
+      if (u[i] != v[i]) return u[i] < v[i];
     }
-    x = x.sub(y);
+    return false;
+  };
+  int sign = 1;
+  while (!zero_from(x, 0)) {
+    std::size_t limb_shift = 0;
+    while (x[limb_shift] == 0) ++limb_shift;
+    const int bit_shift = std::countr_zero(x[limb_shift]);
+    const std::size_t twos = 32 * limb_shift + static_cast<std::size_t>(bit_shift);
+    const std::uint32_t y_mod8 = y[0] & 7;
+    if (twos % 2 == 1 && (y_mod8 == 3 || y_mod8 == 5)) sign = -sign;
+    for (std::size_t i = 0; i < width; ++i) {
+      const std::size_t src = i + limb_shift;
+      std::uint64_t v = src < width ? x[src] >> bit_shift : 0;
+      if (bit_shift > 0 && src + 1 < width) {
+        v |= static_cast<std::uint64_t>(x[src + 1]) << (32 - bit_shift);
+      }
+      x[i] = static_cast<std::uint32_t>(v);
+    }
+    if (below(x, y)) {
+      std::swap(x, y);
+      if ((x[0] & 3) == 3 && (y[0] & 3) == 3) sign = -sign;
+    }
+    std::uint32_t borrow = 0;
+    for (std::size_t i = 0; i < width; ++i) {
+      const std::uint64_t diff = static_cast<std::uint64_t>(x[i]) - y[i] - borrow;
+      x[i] = static_cast<std::uint32_t>(diff);
+      borrow = static_cast<std::uint32_t>(diff >> 63);
+    }
   }
   // x reached zero at x == y == gcd(a, n): the symbol is 0 unless coprime.
-  return y == BigUInt(1) ? sign : 0;
+  return y[0] == 1 && zero_from(y, 1) ? sign : 0;
 }
 
 bool BigUInt::is_probable_prime(const BigUInt& n, util::Rng& rng, int rounds) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
+
+#include "util/ensure.hpp"
 
 namespace rvaas::core {
 
@@ -32,8 +35,41 @@ std::uint64_t SnapshotManager::next_instance_id() {
 
 void SnapshotManager::record(sim::Time t, sdn::SwitchId sw,
                              FlowUpdateKind kind, const FlowEntry& entry) {
-  history_.push_back(HistoryRecord{t, sw, kind, entry});
-  while (history_.size() > history_limit_) history_.pop_front();
+  history_.push_back(HistoryRecord{t, sw, kind, entry, false});
+  // A removal pairs with every add of the same rule inside the window; the
+  // records newer than the window are all still present, newest last.
+  if (kind == FlowUpdateKind::Removed) {
+    HistoryRecord& rem = history_.back();
+    for (std::size_t i = history_.size() - 1; i-- > aged_;) {
+      HistoryRecord& add = history_[i];
+      if (t - add.t > kHistoryWindow) break;
+      if (add.kind == FlowUpdateKind::Added && add.sw == sw &&
+          add.entry.id == entry.id) {
+        add.paired = rem.paired = true;
+      }
+    }
+  }
+  // Records the window has passed that pair with nothing can never enter
+  // a short_lived() answer: drop them, keep the paired ones in order.
+  const auto first = history_.begin() + static_cast<long>(aged_);
+  auto last = first;
+  while (last != history_.end() && last->t + kHistoryWindow < t) ++last;
+  const auto kept = std::remove_if(
+      first, last, [](const HistoryRecord& r) { return !r.paired; });
+  aged_ = static_cast<std::size_t>(kept - history_.begin());
+  history_.erase(kept, last);
+  while (history_.size() > history_limit_) {
+    history_.pop_front();
+    if (aged_ > 0) --aged_;
+  }
+}
+
+void SnapshotManager::discrepancy(sim::Time t, sdn::SwitchId sw,
+                                  std::uint64_t& count,
+                                  std::string description) {
+  ++count;
+  discrepancies_.push_back(Discrepancy{t, sw, std::move(description)});
+  if (discrepancies_.size() > kDiscrepancyRing) discrepancies_.pop_front();
 }
 
 void SnapshotManager::apply_update(const sdn::FlowUpdate& update,
@@ -70,17 +106,15 @@ void SnapshotManager::reconcile(const sdn::StatsReply& reply, sim::Time now) {
   for (const auto& [id, entry] : actual) {
     const auto it = table.find(id);
     if (it == table.end()) {
-      discrepancies_.push_back(Discrepancy{
-          now, reply.sw,
-          "poll found unknown entry id " + std::to_string(id.value) +
-              " (match " + entry->match.to_string() + ")"});
+      discrepancy(now, reply.sw, discrepancy_counts_.unknown,
+                  "poll found unknown entry id " + std::to_string(id.value) +
+                      " (match " + entry->match.to_string() + ")");
       record(now, reply.sw, FlowUpdateKind::Added, *entry);
       table[id] = *entry;
       changed = true;
     } else if (!(it->second == *entry)) {
-      discrepancies_.push_back(Discrepancy{
-          now, reply.sw,
-          "poll found modified entry id " + std::to_string(id.value)});
+      discrepancy(now, reply.sw, discrepancy_counts_.modified,
+                  "poll found modified entry id " + std::to_string(id.value));
       record(now, reply.sw, FlowUpdateKind::Modified, *entry);
       it->second = *entry;
       changed = true;
@@ -90,10 +124,9 @@ void SnapshotManager::reconcile(const sdn::StatsReply& reply, sim::Time now) {
   // Entries we believed in that the switch no longer has.
   for (auto it = table.begin(); it != table.end();) {
     if (!actual.contains(it->first)) {
-      discrepancies_.push_back(Discrepancy{
-          now, reply.sw,
-          "poll shows entry id " + std::to_string(it->first.value) +
-              " vanished"});
+      discrepancy(now, reply.sw, discrepancy_counts_.vanished,
+                  "poll shows entry id " + std::to_string(it->first.value) +
+                      " vanished");
       record(now, reply.sw, FlowUpdateKind::Removed, it->second);
       it = table.erase(it);
       changed = true;
@@ -151,11 +184,14 @@ std::vector<sdn::SwitchId> SnapshotManager::dirty_since(
 
 std::vector<HistoryRecord> SnapshotManager::short_lived(
     sim::Time max_dwell) const {
+  util::ensure(max_dwell <= kHistoryWindow,
+               "short_lived dwell exceeds the history window");
   std::vector<HistoryRecord> out;
-  // For each Added record, look for a matching Removed within max_dwell.
+  // For each Added record, look for a matching Removed within max_dwell
+  // (only a paired add has one within the window at all).
   for (std::size_t i = 0; i < history_.size(); ++i) {
     const HistoryRecord& add = history_[i];
-    if (add.kind != FlowUpdateKind::Added) continue;
+    if (add.kind != FlowUpdateKind::Added || !add.paired) continue;
     for (std::size_t j = i + 1; j < history_.size(); ++j) {
       const HistoryRecord& rem = history_[j];
       if (rem.t - add.t > max_dwell) break;

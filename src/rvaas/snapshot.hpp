@@ -16,8 +16,13 @@
 //     id is a no-op),
 //   - reconcile() bumps once iff it adopts at least one difference (a poll
 //     that agrees with the view is free),
-//   - meter updates and history-limit eviction never touch table epochs
+//   - meter updates and history eviction never touch table epochs
 //     (meters and history are outside the compiled model's inputs).
+//
+// Bounded state: the change history keeps what short_lived() can still
+// report — every record younger than kHistoryWindow, plus the add/remove
+// pairs at most kHistoryWindow apart — under a hard count cap; the
+// discrepancy log is per-kind counters plus a ring of the latest entries.
 
 #include <deque>
 #include <map>
@@ -29,11 +34,24 @@
 
 namespace rvaas::core {
 
+/// The longest rule dwell a short-lived-rule detector may ask for (the
+/// fuzzer's flap oracle asks for at most 5 ms, the tests for 20 ms). A
+/// record older than this that pairs with nothing can no longer change a
+/// short_lived() answer and is dropped.
+inline constexpr sim::Time kHistoryWindow = 25 * sim::kMillisecond;
+/// Default hard cap on history records (oldest dropped first).
+inline constexpr std::size_t kHistoryLimit = 256;
+/// Recent discrepancies kept verbatim; older ones survive only as counts.
+inline constexpr std::size_t kDiscrepancyRing = 16;
+
 struct HistoryRecord {
   sim::Time t = 0;
   sdn::SwitchId sw{};
   sdn::FlowUpdateKind kind = sdn::FlowUpdateKind::Added;
   sdn::FlowEntry entry;
+  /// One end of an Added/Removed pair of the same rule at most
+  /// kHistoryWindow apart: kept past the window as short-lived evidence.
+  bool paired = false;
 };
 
 /// A disagreement between the passive view and an active poll — with trusted
@@ -44,9 +62,16 @@ struct Discrepancy {
   std::string description;
 };
 
+/// Every discrepancy ever found, by kind.
+struct DiscrepancyCounts {
+  std::uint64_t unknown = 0;   ///< the switch has an entry the view lacks
+  std::uint64_t modified = 0;  ///< the switch's entry differs from the view's
+  std::uint64_t vanished = 0;  ///< the view has an entry the switch lacks
+};
+
 class SnapshotManager {
  public:
-  explicit SnapshotManager(std::size_t history_limit = 1 << 16)
+  explicit SnapshotManager(std::size_t history_limit = kHistoryLimit)
       : history_limit_(history_limit) {}
 
   /// Passive path: a flow-monitor event.
@@ -106,12 +131,17 @@ class SnapshotManager {
   }
 
   const std::deque<HistoryRecord>& history() const { return history_; }
-  const std::vector<Discrepancy>& discrepancies() const {
+  /// The latest kDiscrepancyRing discrepancies, oldest first.
+  const std::deque<Discrepancy>& discrepancies() const {
     return discrepancies_;
+  }
+  const DiscrepancyCounts& discrepancy_counts() const {
+    return discrepancy_counts_;
   }
 
   /// Rules that were added and removed again within `max_dwell` — the
-  /// signature of a reconfiguration (flapping) attack.
+  /// signature of a reconfiguration (flapping) attack. `max_dwell` must not
+  /// exceed kHistoryWindow.
   std::vector<HistoryRecord> short_lived(sim::Time max_dwell) const;
 
   /// true iff some history record matches the predicate.
@@ -130,9 +160,6 @@ class SnapshotManager {
   sim::Time last_confirmed(sdn::SwitchId sw) const {
     const auto it = last_confirmed_.find(sw);
     return it == last_confirmed_.end() ? 0 : it->second;
-  }
-  const std::map<sdn::SwitchId, sim::Time>& last_confirmed_times() const {
-    return last_confirmed_;
   }
 
   std::uint64_t events_applied() const { return events_applied_; }
@@ -170,6 +197,8 @@ class SnapshotManager {
 
   void record(sim::Time t, sdn::SwitchId sw, sdn::FlowUpdateKind kind,
               const sdn::FlowEntry& entry);
+  void discrepancy(sim::Time t, sdn::SwitchId sw, std::uint64_t& count,
+                   std::string description);
   /// Marks `sw`'s table content as changed now.
   void bump(sdn::SwitchId sw) { table_changed_at_[sw] = ++epoch_; }
 
@@ -178,7 +207,11 @@ class SnapshotManager {
            std::vector<std::pair<sdn::MeterId, sdn::MeterConfig>>>
       meters_;
   std::deque<HistoryRecord> history_;
-  std::vector<Discrepancy> discrepancies_;
+  /// history_[0, aged_) are paired records older than the window; the rest
+  /// is every record the window has not yet passed.
+  std::size_t aged_ = 0;
+  std::deque<Discrepancy> discrepancies_;
+  DiscrepancyCounts discrepancy_counts_;
   std::size_t history_limit_;
   std::uint64_t events_applied_ = 0;
   std::uint64_t polls_applied_ = 0;

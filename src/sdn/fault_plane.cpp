@@ -9,13 +9,6 @@ void FaultPlane::set_fault(SwitchId sw, FaultDirection dir,
   faults_[sw].spec[static_cast<std::size_t>(dir)] = spec;
 }
 
-void FaultPlane::clear_fault(SwitchId sw) {
-  const auto it = faults_.find(sw);
-  if (it == faults_.end()) return;
-  it->second.spec[0] = FaultSpec{};
-  it->second.spec[1] = FaultSpec{};
-}
-
 void FaultPlane::partition(SwitchId sw, sim::Time until) {
   auto& f = faults_[sw];
   f.partition_until = std::max(f.partition_until, until);

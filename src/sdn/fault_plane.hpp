@@ -68,8 +68,6 @@ class FaultPlane {
   // --- fault configuration ---
 
   void set_fault(SwitchId sw, FaultDirection dir, const FaultSpec& spec);
-  /// Clears drop/dup/delay specs on one switch (partitions stay).
-  void clear_fault(SwitchId sw);
   /// Hard partition: both directions drop every message until `until`
   /// (absolute simulated time). Re-partitioning extends the window.
   void partition(SwitchId sw, sim::Time until);

@@ -95,8 +95,6 @@ class Network {
     /// Subscribes to flow-table change notifications from a switch.
     void subscribe_flow_monitor(SwitchId sw);
 
-    ControllerId controller_id() const { return id_; }
-
    private:
     friend class Network;
     ControllerHandle(Network& net, ControllerId id) : net_(&net), id_(id) {}

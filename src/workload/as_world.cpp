@@ -253,22 +253,4 @@ sdn::Trajectory AsWorld::trace(std::size_t d, PortRef ingress,
   return runtimes_[d]->network().trace(ingress, packet);
 }
 
-bool AsWorld::delivers_locally(std::size_t d, PortRef ingress,
-                               std::uint32_t dst_ip) {
-  const sdn::Trajectory t = trace(d, ingress, dst_ip);
-  for (const auto& delivery : t.deliveries) {
-    if (delivery.host.has_value()) return true;
-  }
-  return false;
-}
-
-bool AsWorld::crosses_border(std::size_t d, PortRef ingress,
-                             std::uint32_t dst_ip, PortRef border) {
-  const sdn::Trajectory t = trace(d, ingress, dst_ip);
-  for (const auto& delivery : t.deliveries) {
-    if (delivery.egress == border) return true;
-  }
-  return false;
-}
-
 }  // namespace rvaas::workload

@@ -72,12 +72,6 @@ class AsWorld {
   /// destination `dst_ip` injected at `ingress` of domain `d`.
   sdn::Trajectory trace(std::size_t d, sdn::PortRef ingress,
                         std::uint32_t dst_ip);
-  /// ... delivered to a host access point inside `d`?
-  bool delivers_locally(std::size_t d, sdn::PortRef ingress,
-                        std::uint32_t dst_ip);
-  /// ... leaves `d` through `border` (a dark port from d's point of view)?
-  bool crosses_border(std::size_t d, sdn::PortRef ingress,
-                      std::uint32_t dst_ip, sdn::PortRef border);
 
   /// IPs of domain d's own hosts plus its whole customer cone — what the
   /// baseline routes down from d.

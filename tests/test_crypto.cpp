@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+#include <vector>
+
 #include "crypto/drbg.hpp"
 #include "crypto/group.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/seal.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sign.hpp"
+#include "util/ensure.hpp"
 #include "util/hex.hpp"
 
 namespace rvaas::crypto {
@@ -19,6 +24,32 @@ using util::from_hex;
 using util::to_hex;
 
 std::string hex_of(const Digest32& d) { return to_hex(d); }
+
+// --- Fixed-base table: concurrent first use ---
+
+// Declared first so that, in a default run, these threads make the process's
+// first default_group() calls: the table is built under the static-local
+// guard while all of them wait on it (the TSan job runs this suite).
+TEST(GroupTable, ConcurrentFirstUseAgrees) {
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<BigUInt> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&start, &results, i] {
+      start.arrive_and_wait();
+      results[static_cast<std::size_t>(i)] =
+          default_group().exp(BigUInt(0xc0ffee + static_cast<std::uint64_t>(i)));
+    });
+  }
+  for (auto& t : threads) t.join();
+  const Group& g = default_group();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(results[static_cast<std::size_t>(i)],
+              BigUInt::modpow(
+                  g.g, BigUInt(0xc0ffee + static_cast<std::uint64_t>(i)), g.p));
+  }
+}
 
 // --- SHA-256: NIST / FIPS 180-4 vectors ---
 
@@ -148,6 +179,32 @@ TEST(Group, DefaultGroupStructure) {
   EXPECT_FALSE(g.is_element(BigUInt{}));
   EXPECT_FALSE(g.is_element(g.p));
   EXPECT_EQ(g.element_bytes(), 32u);
+}
+
+TEST(Group, TableExpMatchesModPow) {
+  const Group& g = default_group();
+  const BigUInt one(1);
+  const BigUInt max = one.shift_left(Group::kExpBits).sub(one);
+  std::vector<BigUInt> exps = {BigUInt{}, one, g.q.sub(one), max};
+  // Runs of all-zero 4-bit digits: lone digits at the ends and in the middle
+  // of an otherwise zero exponent, and a full exponent with a zero gap.
+  for (const std::size_t k : {4u, 60u, 128u, 252u, 255u}) {
+    exps.push_back(one.shift_left(k));
+  }
+  exps.push_back(one.shift_left(252).add(BigUInt(0xf)));
+  exps.push_back(max.sub(one.shift_left(200).sub(one.shift_left(64))));
+  util::Rng rng(20160612);
+  for (int i = 0; i < 2000; ++i) {
+    exps.push_back(BigUInt::random_below(rng, one.shift_left(Group::kExpBits)));
+  }
+  for (const BigUInt& x : exps) {
+    ASSERT_EQ(g.exp(x), BigUInt::modpow(g.g, x, g.p)) << "x=" << x.to_hex();
+  }
+}
+
+TEST(Group, TableExpRejectsWideExponent) {
+  const BigUInt wide = BigUInt(1).shift_left(Group::kExpBits);
+  EXPECT_THROW(default_group().exp(wide), util::InvariantViolation);
 }
 
 TEST(Group, NonResidueRejected) {

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "rvaas/snapshot.hpp"
+#include "util/ensure.hpp"
+#include "util/rng.hpp"
 
 namespace rvaas::core {
 namespace {
@@ -352,6 +356,136 @@ TEST(Snapshot, MetersStoredFromPolls) {
   snap.reconcile(reply, 10);
   ASSERT_EQ(snap.meters().at(SwitchId(1)).size(), 1u);
   EXPECT_EQ(snap.meters().at(SwitchId(1))[0].second.rate_bps, 1000u);
+}
+
+// --- Bounded state ----------------------------------------------------------
+
+TEST(SnapshotBounds, FlapEvidenceOutlivesTheWindow) {
+  SnapshotManager snap;
+  // Rule 1 lives 3 ms (a flap); rule 2 stays; rule 3 lives 40 ms, longer
+  // than any detector asks about.
+  snap.apply_update({SwitchId(1), FlowUpdateKind::Added, entry(1)},
+                    10 * sim::kMillisecond);
+  snap.apply_update({SwitchId(1), FlowUpdateKind::Added, entry(2)},
+                    11 * sim::kMillisecond);
+  snap.apply_update({SwitchId(1), FlowUpdateKind::Added, entry(3)},
+                    12 * sim::kMillisecond);
+  snap.apply_update({SwitchId(1), FlowUpdateKind::Removed, entry(1)},
+                    13 * sim::kMillisecond);
+  snap.apply_update({SwitchId(1), FlowUpdateKind::Removed, entry(3)},
+                    52 * sim::kMillisecond);
+  // A record one second later: every unpaired record before it is past the
+  // window.
+  snap.apply_update({SwitchId(2), FlowUpdateKind::Added, entry(9)},
+                    1000 * sim::kMillisecond);
+
+  ASSERT_EQ(snap.history().size(), 3u);
+  EXPECT_EQ(snap.history()[0].entry.id, sdn::FlowEntryId(1));
+  EXPECT_EQ(snap.history()[0].kind, FlowUpdateKind::Added);
+  EXPECT_EQ(snap.history()[1].entry.id, sdn::FlowEntryId(1));
+  EXPECT_EQ(snap.history()[1].kind, FlowUpdateKind::Removed);
+  EXPECT_EQ(snap.history()[2].entry.id, sdn::FlowEntryId(9));
+  const auto flapping = snap.short_lived(5 * sim::kMillisecond);
+  ASSERT_EQ(flapping.size(), 1u);
+  EXPECT_EQ(flapping[0].entry.id, sdn::FlowEntryId(1));
+  EXPECT_TRUE(snap.short_lived(kHistoryWindow).size() == 1u);
+}
+
+TEST(SnapshotBounds, ShortLivedRejectsDwellBeyondTheWindow) {
+  SnapshotManager snap;
+  EXPECT_THROW(snap.short_lived(kHistoryWindow + 1), util::InvariantViolation);
+}
+
+TEST(SnapshotBounds, DivergentPollsKeepRingAtCapAndCountEveryOne) {
+  SnapshotManager snap;
+  snap.apply_update({SwitchId(1), FlowUpdateKind::Added, entry(1)}, 1);
+  // A provider that keeps rewriting rule 1 behind the controller's back:
+  // every poll finds it modified once more.
+  constexpr std::uint64_t kPolls = 1000;
+  for (std::uint64_t i = 0; i < kPolls; ++i) {
+    FlowEntry changed = entry(1);
+    changed.actions = {sdn::output(sdn::PortNo(i % 2 == 0 ? 2 : 1))};
+    sdn::StatsReply reply;
+    reply.sw = SwitchId(1);
+    reply.entries = {changed};
+    snap.reconcile(reply, 10 + i * sim::kMillisecond);
+  }
+  EXPECT_EQ(snap.discrepancy_counts().modified, kPolls);
+  EXPECT_EQ(snap.discrepancy_counts().unknown, 0u);
+  EXPECT_EQ(snap.discrepancy_counts().vanished, 0u);
+  ASSERT_EQ(snap.discrepancies().size(), kDiscrepancyRing);
+  // The ring holds the latest polls, oldest first.
+  EXPECT_EQ(snap.discrepancies().back().t,
+            10 + (kPolls - 1) * sim::kMillisecond);
+  EXPECT_EQ(snap.discrepancies().front().t,
+            10 + (kPolls - kDiscrepancyRing) * sim::kMillisecond);
+}
+
+TEST(SnapshotBounds, LongChurnKeepsMemoryBounded) {
+  // 200k seeded events over ~100 s of simulated time on 8 switches: rules
+  // that stay a while, rules that flap for 1-4 ms, and a divergent poll
+  // every 500 events. At most 64 rules per switch are live at once.
+  constexpr std::size_t kSwitches = 8;
+  constexpr std::size_t kLivePerSwitch = 64;
+  // Stated bound: the live tables, a full history and a full ring, at the
+  // estimate's own per-item costs (FlowEntry + 64 B per entry, + 24 B per
+  // history record, 96 B per discrepancy).
+  constexpr std::size_t kPerEntry = sizeof(FlowEntry) + 64;
+  constexpr std::size_t kBound = kSwitches * kLivePerSwitch * kPerEntry +
+                                 kHistoryLimit * (kPerEntry + 24) +
+                                 kDiscrepancyRing * 96;
+  SnapshotManager snap;
+  util::Rng rng(20161015);
+  std::vector<std::vector<std::uint64_t>> live(kSwitches);
+  std::uint64_t next_id = 1;
+  sim::Time now = 0;
+  std::size_t flaps = 0;
+  std::uint64_t divergent_polls = 0;
+  for (std::size_t step = 0; step < 200'000; ++step) {
+    now += static_cast<sim::Time>(rng.uniform_int(0, 1000)) *
+           sim::kMicrosecond;
+    const std::size_t s = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kSwitches) - 1));
+    const SwitchId sw(static_cast<std::uint32_t>(s + 1));
+    auto& rules = live[s];
+    if (step % 500 == 499 && !rules.empty()) {
+      // The switch lost one rule behind the controller's back.
+      sdn::StatsReply reply;
+      reply.sw = sw;
+      for (std::size_t k = 1; k < rules.size(); ++k) {
+        reply.entries.push_back(entry(rules[k]));
+      }
+      snap.reconcile(reply, now);
+      rules.erase(rules.begin());
+      ++divergent_polls;
+    } else if (rng.bernoulli(0.05)) {
+      const std::uint64_t id = next_id++;
+      snap.apply_update({sw, FlowUpdateKind::Added, entry(id)}, now);
+      now += static_cast<sim::Time>(rng.uniform_int(1, 4)) * sim::kMillisecond;
+      snap.apply_update({sw, FlowUpdateKind::Removed, entry(id)}, now);
+      ++flaps;
+    } else if (rules.size() < kLivePerSwitch && rng.bernoulli(0.5)) {
+      rules.push_back(next_id++);
+      snap.apply_update({sw, FlowUpdateKind::Added, entry(rules.back())}, now);
+    } else if (!rules.empty()) {
+      const std::size_t k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(rules.size()) - 1));
+      snap.apply_update({sw, FlowUpdateKind::Removed, entry(rules[k])}, now);
+      rules.erase(rules.begin() + static_cast<long>(k));
+    }
+    if (step % 1000 == 0) {
+      ASSERT_LE(snap.history().size(), kHistoryLimit) << "step " << step;
+      ASSERT_LE(snap.approx_memory_bytes(), kBound) << "step " << step;
+    }
+  }
+  EXPECT_GT(flaps, 5'000u);
+  EXPECT_LE(snap.history().size(), kHistoryLimit);
+  EXPECT_LE(snap.discrepancies().size(), kDiscrepancyRing);
+  EXPECT_GT(divergent_polls, 300u);
+  EXPECT_EQ(snap.discrepancy_counts().vanished, divergent_polls);
+  EXPECT_LE(snap.approx_memory_bytes(), kBound);
+  // The latest flap is still on record.
+  EXPECT_FALSE(snap.short_lived(5 * sim::kMillisecond).empty());
 }
 
 }  // namespace
